@@ -510,15 +510,19 @@ func BenchmarkSimulator_Throughput(b *testing.B) {
 	b.ReportMetric(float64(total)/b.Elapsed().Seconds()/1e6, "Minst/s")
 }
 
-// BenchmarkTraining_Softmax measures per-parameter model training cost on
-// realistic feature dimensions.
+// BenchmarkTraining_Softmax measures the cost of training all fourteen
+// per-parameter models on every phase of the dataset (basic counters).
+// It trains through core.TrainPredictor on each iteration: Dataset.TrainAll
+// memoises per counter set, so timing it would time a map lookup.
 func BenchmarkTraining_Softmax(b *testing.B) {
 	ds, _, _, _ := pipeline(b)
-	examples := ds.Phases
-	_ = examples
+	phases := make([]core.PhaseExample, 0, len(ds.Phases))
+	for _, id := range ds.Phases {
+		phases = append(phases, core.PhaseExample{Features: ds.FeaturesBasic[id], Good: ds.Good[id]})
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ds.TrainAll(counters.Basic); err != nil {
+		if _, err := core.TrainPredictor(counters.Basic, phases, experiment.TrainOptions()); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -10,6 +10,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/arch"
 	"repro/internal/counters"
@@ -40,19 +43,20 @@ func TrainPredictor(set counters.Set, phases []PhaseExample, opts softmax.Option
 }
 
 // TrainPredictorCtx is TrainPredictor with cooperative cancellation,
-// checked between the fourteen per-parameter trainings (each is a full
-// conjugate-gradient run, so this is the useful granularity).
+// checked before each of the fourteen per-parameter trainings (each is a
+// full conjugate-gradient run, so this is the useful granularity).
+//
+// The trainings are independent, so they run on up to GOMAXPROCS
+// goroutines; each writes only its own model, so the weights are
+// byte-identical for any worker count. When several fail, the error of
+// the lowest parameter is returned.
 func TrainPredictorCtx(ctx context.Context, set counters.Set, phases []PhaseExample, opts softmax.Options) (*Predictor, error) {
 	if len(phases) == 0 {
 		return nil, errors.New("core: no training phases")
 	}
 	d := counters.Dim(set)
-	p := &Predictor{Set: set}
+	var exs [arch.NumParams][]softmax.Example
 	for param := arch.Param(0); param < arch.NumParams; param++ {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("core: training cancelled: %w", err)
-		}
-		var exs []softmax.Example
 		for i, ph := range phases {
 			if len(ph.Features) != d {
 				return nil, fmt.Errorf("core: phase %d features have dim %d, want %d", i, len(ph.Features), d)
@@ -65,14 +69,42 @@ func TrainPredictorCtx(ctx context.Context, set counters.Set, phases []PhaseExam
 				if k < 0 {
 					return nil, fmt.Errorf("core: phase %d good config has invalid %s=%d", i, param, cfg[param])
 				}
-				exs = append(exs, softmax.Example{X: ph.Features, Y: k})
+				exs[param] = append(exs[param], softmax.Example{X: ph.Features, Y: k})
 			}
 		}
-		m, err := softmax.Train(d, arch.DomainSize(param), exs, opts)
+	}
+
+	p := &Predictor{Set: set}
+	var errs [arch.NumParams]error
+	var next atomic.Int32
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), int(arch.NumParams)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				param := arch.Param(next.Add(1) - 1)
+				if param >= arch.NumParams {
+					return
+				}
+				if err := ctx.Err(); err != nil {
+					errs[param] = fmt.Errorf("core: training cancelled: %w", err)
+					continue
+				}
+				m, err := softmax.Train(d, arch.DomainSize(param), exs[param], opts)
+				if err != nil {
+					errs[param] = fmt.Errorf("core: training %s model: %w", param, err)
+					continue
+				}
+				p.Models[param] = m
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("core: training %s model: %w", param, err)
+			return nil, err
 		}
-		p.Models[param] = m
 	}
 	return p, nil
 }

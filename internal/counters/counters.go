@@ -62,19 +62,19 @@ func Features(res *cpu.Result, set Set) []float64 {
 	}
 }
 
-// Dim returns the dimensionality of the given set's vectors.
-var dimCache [2]int
+// dims holds each set's feature dimension, probed once at package
+// initialisation so Dim is a read-only lookup safe for concurrent use.
+var dims = [2]int{
+	len(Features(probeResult(), Basic)),
+	len(Features(probeResult(), Advanced)),
+}
 
 // Dim returns the feature dimension of the set. It is constant per set.
 func Dim(set Set) int {
-	i := 0
 	if set == Advanced {
-		i = 1
+		return dims[1]
 	}
-	if dimCache[i] == 0 {
-		dimCache[i] = len(Features(probeResult(), set))
-	}
-	return dimCache[i]
+	return dims[0]
 }
 
 // probeResult builds a minimal synthetic result for dimension probing.

@@ -1,6 +1,7 @@
 package counters
 
 import (
+	"sync"
 	"testing"
 
 	"repro/internal/arch"
@@ -32,6 +33,29 @@ func TestSetStrings(t *testing.T) {
 	}
 	if Set(9).String() != "Set(9)" {
 		t.Error("unknown set name wrong")
+	}
+}
+
+// TestDimConcurrent calls Dim from several goroutines at once, the way
+// concurrent serving engines, status handlers and trainings do; under
+// -race it fails if Dim writes shared state. It is the package's first
+// test to call Dim, so a lazily filled cache would still be empty here.
+func TestDimConcurrent(t *testing.T) {
+	want := [2]int{len(Features(probeResult(), Basic)), len(Features(probeResult(), Advanced))}
+	var wg sync.WaitGroup
+	got := make([][2]int, 4)
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[g] = [2]int{Dim(Basic), Dim(Advanced)}
+		}()
+	}
+	wg.Wait()
+	for g, dims := range got {
+		if dims != want {
+			t.Errorf("goroutine %d: Dim = %v, want %v", g, dims, want)
+		}
 	}
 }
 

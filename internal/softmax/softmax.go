@@ -191,9 +191,9 @@ func Train(d, k int, examples []Example, opts Options) (*Model, error) {
 	prevGrad := make([]float64, n)
 	dir := make([]float64, n)
 	trial := make([]float64, n)
-	scores := make([]float64, k)
+	ob := newObjective(examples, k, opts.Lambda)
 
-	f := objective(m, examples, opts.Lambda, grad, scores)
+	f := ob.eval(m, grad)
 	for i := range dir {
 		dir[i] = -grad[i]
 	}
@@ -219,7 +219,7 @@ func Train(d, k int, examples []Example, opts Options) (*Model, error) {
 			for i := range trial {
 				trial[i] = m.W[i] + step*dir[i]
 			}
-			fNew = objectiveAt(trial, m, examples, opts.Lambda, scores)
+			fNew = ob.evalAt(trial, m)
 			if fNew <= f+1e-4*step*slope {
 				accepted = true
 				break
@@ -232,7 +232,7 @@ func Train(d, k int, examples []Example, opts Options) (*Model, error) {
 		alpha = step
 		copy(m.W, trial)
 		copy(prevGrad, grad)
-		f = objective(m, examples, opts.Lambda, grad, scores)
+		f = ob.eval(m, grad)
 
 		// Polak-Ribiere beta with automatic restart.
 		num := 0.0
@@ -254,73 +254,126 @@ func Train(d, k int, examples []Example, opts Options) (*Model, error) {
 	return m, nil
 }
 
-// objective computes f = -L + lambda*||W||^2 and the gradient into grad.
-func objective(m *Model, examples []Example, lambda float64, grad, scores []float64) float64 {
+// objective is the training loss f = -L + lambda*||W||^2 over a fixed
+// example set, with the scratch its evaluations reuse.
+//
+// A phase with several good configurations contributes several
+// consecutive examples sharing one feature vector, so the examples are
+// grouped into runs of equal X: the scores, log-partition and class
+// probabilities are computed once per run, while the loss term and the
+// gradient adds still happen once per example in example order. Each
+// example contributes exactly the float operations, in the same order,
+// that scoring it alone would, so the grouping never changes a bit.
+type objective struct {
+	runs   [][]Example // maximal runs of consecutive examples with element-wise equal X
+	lambda float64
+	scores []float64 // K scores of the current run
+	probs  []float64 // K soft-max probabilities of the current run
+}
+
+func newObjective(examples []Example, k int, lambda float64) *objective {
+	var runs [][]Example
+	start := 0
+	for i := 1; i <= len(examples); i++ {
+		if i == len(examples) || !sameFeatures(examples[i].X, examples[start].X) {
+			runs = append(runs, examples[start:i])
+			start = i
+		}
+	}
+	return &objective{
+		runs:   runs,
+		lambda: lambda,
+		scores: make([]float64, k),
+		probs:  make([]float64, k),
+	}
+}
+
+// sameFeatures reports whether a and b are element-wise equal.
+func sameFeatures(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// logPartition scores x into o.scores and returns log sum_k exp(score_k),
+// computed stably around the maximum score.
+func (o *objective) logPartition(m *Model, x []float64) float64 {
+	m.Scores(x, o.scores)
+	maxS := math.Inf(-1)
+	for _, v := range o.scores {
+		if v > maxS {
+			maxS = v
+		}
+	}
+	logZ := 0.0
+	for _, v := range o.scores {
+		logZ += math.Exp(v - maxS)
+	}
+	return math.Log(logZ) + maxS
+}
+
+// eval returns the loss at m.W and writes its gradient into grad.
+func (o *objective) eval(m *Model, grad []float64) float64 {
 	for i := range grad {
 		grad[i] = 0
 	}
+	k := m.K
 	f := 0.0
-	for _, ex := range examples {
-		m.Scores(ex.X, scores)
-		maxS := math.Inf(-1)
-		for _, v := range scores {
-			if v > maxS {
-				maxS = v
-			}
+	for _, run := range o.runs {
+		x := run[0].X
+		logZ := o.logPartition(m, x)
+		probs := o.probs
+		for c, v := range o.scores {
+			probs[c] = math.Exp(v - logZ)
 		}
-		logZ := 0.0
-		for _, v := range scores {
-			logZ += math.Exp(v - maxS)
-		}
-		logZ = math.Log(logZ) + maxS
-		f -= scores[ex.Y] - logZ
-		// Gradient of -log-likelihood: (sigma_k - delta_k) * x.
-		for k := range scores {
-			p := math.Exp(scores[k] - logZ)
-			coeff := p
-			if k == ex.Y {
-				coeff -= 1
-			}
-			if coeff == 0 {
-				continue
-			}
-			for i, xi := range ex.X {
-				if xi != 0 {
-					grad[i*m.K+k] += coeff * xi
+		for _, ex := range run {
+			f -= o.scores[ex.Y] - logZ
+			// Gradient of -log-likelihood: (sigma_k - delta_k) * x, one
+			// add per weight with a non-zero coefficient and feature. The
+			// label's probability holds p-1 while this example is added.
+			py := probs[ex.Y]
+			probs[ex.Y] = py - 1
+			for i, xi := range x {
+				if xi == 0 {
+					continue
+				}
+				row := grad[i*k:][:len(probs)]
+				for c, coeff := range probs {
+					if coeff != 0 {
+						row[c] += coeff * xi
+					}
 				}
 			}
+			probs[ex.Y] = py
 		}
 	}
 	for i, w := range m.W {
-		f += lambda * w * w
-		grad[i] += 2 * lambda * w
+		f += o.lambda * w * w
+		grad[i] += 2 * o.lambda * w
 	}
 	return f
 }
 
-// objectiveAt evaluates the objective at weights w without touching m.W
-// and without computing the gradient.
-func objectiveAt(w []float64, m *Model, examples []Example, lambda float64, scores []float64) float64 {
+// evalAt returns the loss at weights w without touching m.W and without
+// computing the gradient.
+func (o *objective) evalAt(w []float64, m *Model) float64 {
 	saved := m.W
 	m.W = w
 	f := 0.0
-	for _, ex := range examples {
-		m.Scores(ex.X, scores)
-		maxS := math.Inf(-1)
-		for _, v := range scores {
-			if v > maxS {
-				maxS = v
-			}
+	for _, run := range o.runs {
+		logZ := o.logPartition(m, run[0].X)
+		for _, ex := range run {
+			f -= o.scores[ex.Y] - logZ
 		}
-		logZ := 0.0
-		for _, v := range scores {
-			logZ += math.Exp(v - maxS)
-		}
-		logZ = math.Log(logZ) + maxS
-		f -= scores[ex.Y] - logZ
 	}
 	for _, wi := range w {
-		f += lambda * wi * wi
+		f += o.lambda * wi * wi
 	}
 	m.W = saved
 	return f

@@ -28,10 +28,20 @@ echo "== golden digests (simulator byte-identity) =="
 # store.SimVersion (see CLAUDE.md). -count=1 defeats the test cache.
 go test -count=1 -run TestGoldenDigests ./internal/cpu
 
+echo "== training golden (soft-max byte-identity) =="
+# The same tripwire for training: TrainAll weights and LOOCV predictions
+# at TestScale must stay bit-identical under training optimisations.
+go test -count=1 -run TestTrainingGolden ./internal/experiment
+
 echo "== go test -race internal/experiment =="
 # Exercises the WithWorkers build fan-out (workers_test.go) under the
 # race detector.
 go test -race ./internal/experiment
+
+echo "== go test -race internal/softmax internal/core internal/counters =="
+# Exercises the parallel per-parameter training fan-out and concurrent
+# counters.Dim calls under the race detector.
+go test -race ./internal/softmax ./internal/core ./internal/counters
 
 echo "== go test -race internal/serve =="
 go test -race ./internal/serve
