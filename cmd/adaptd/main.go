@@ -84,6 +84,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"syscall"
@@ -246,6 +247,7 @@ func main() {
 		man.SetDet("sloP99NS", int64(*sloP99))
 		man.SetDet("shadow", *shadowPath)
 		man.SetTiming("bootSeconds", time.Since(bootStart).Seconds())
+		man.SetTiming("gomaxprocs", float64(runtime.GOMAXPROCS(0)))
 	}
 	writeManifest := func() {
 		if man == nil {

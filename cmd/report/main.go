@@ -429,6 +429,7 @@ func main() {
 		tr.FillManifest(m)
 		elapsed := time.Since(start).Seconds()
 		m.SetTiming("totalSeconds", elapsed)
+		m.SetTiming("gomaxprocs", float64(runtime.GOMAXPROCS(0)))
 		if insts := cpu.SimulatedInstructions(); insts > 0 {
 			m.SetTiming("nsPerInst", elapsed*1e9/float64(insts))
 		}

@@ -10,12 +10,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/arch"
 	"repro/internal/counters"
+	"repro/internal/par"
 	"repro/internal/softmax"
 )
 
@@ -46,10 +44,10 @@ func TrainPredictor(set counters.Set, phases []PhaseExample, opts softmax.Option
 // checked before each of the fourteen per-parameter trainings (each is a
 // full conjugate-gradient run, so this is the useful granularity).
 //
-// The trainings are independent, so they run on up to GOMAXPROCS
-// goroutines; each writes only its own model, so the weights are
-// byte-identical for any worker count. When several fail, the error of
-// the lowest parameter is returned.
+// The trainings are independent, so they fan out through par.Each; each
+// writes only its own model, so the weights are byte-identical for any
+// GOMAXPROCS. A cancellation wins over training errors; when several
+// trainings fail, the error of the lowest parameter is returned.
 func TrainPredictorCtx(ctx context.Context, set counters.Set, phases []PhaseExample, opts softmax.Options) (*Predictor, error) {
 	if len(phases) == 0 {
 		return nil, errors.New("core: no training phases")
@@ -76,31 +74,18 @@ func TrainPredictorCtx(ctx context.Context, set counters.Set, phases []PhaseExam
 
 	p := &Predictor{Set: set}
 	var errs [arch.NumParams]error
-	var next atomic.Int32
-	var wg sync.WaitGroup
-	for w := min(runtime.GOMAXPROCS(0), int(arch.NumParams)); w > 0; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				param := arch.Param(next.Add(1) - 1)
-				if param >= arch.NumParams {
-					return
-				}
-				if err := ctx.Err(); err != nil {
-					errs[param] = fmt.Errorf("core: training cancelled: %w", err)
-					continue
-				}
-				m, err := softmax.Train(d, arch.DomainSize(param), exs[param], opts)
-				if err != nil {
-					errs[param] = fmt.Errorf("core: training %s model: %w", param, err)
-					continue
-				}
-				p.Models[param] = m
-			}
-		}()
+	err := par.Each(ctx, int(arch.NumParams), func(i int) {
+		param := arch.Param(i)
+		m, err := softmax.Train(d, arch.DomainSize(param), exs[param], opts)
+		if err != nil {
+			errs[param] = fmt.Errorf("core: training %s model: %w", param, err)
+			return
+		}
+		p.Models[param] = m
+	})
+	if err != nil {
+		return nil, fmt.Errorf("core: training cancelled: %w", err)
 	}
-	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
 			return nil, err

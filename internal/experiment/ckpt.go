@@ -36,7 +36,7 @@ func WithWarmupCheckpoints() Option {
 // from sequential sections of the build (classification and ordered
 // side-effect loops) — never from worker goroutines — which both keeps
 // it lock-free and makes the snapshot sidecar's write order (and so its
-// bytes) identical for any WithWorkers count.
+// bytes) identical for any GOMAXPROCS.
 type ckptState struct {
 	cache map[store.Key][]byte
 }
@@ -71,7 +71,8 @@ func (ds *Dataset) ckptFetch(key store.Key) []byte {
 // ckptCommit records a freshly captured snapshot in the build cache and,
 // with a store attached, the snapshot sidecar. Sequential sections only —
 // commit order is the deterministic cfgs/phase order of the surrounding
-// loop, so the sidecar comes out byte-identical for any worker count.
+// loop, so the sidecar comes out byte-identical for any GOMAXPROCS. A nil
+// capture (checkpointing off, or a restored warmup) is a no-op.
 func (ds *Dataset) ckptCommit(key store.Key, captured []byte) error {
 	if captured == nil {
 		return nil

@@ -23,18 +23,16 @@ func ckptScale() Scale {
 }
 
 // buildLogs builds at ckptScale with a store and returns the dataset, the
-// result log's bytes and the snapshot sidecar's bytes (nil when absent).
-func buildLogs(t *testing.T, opts ...Option) (*Dataset, []byte, []byte) {
+// result log's bytes, the snapshot sidecar's bytes (nil when absent) and
+// the build's span-tree digest.
+func buildLogs(t *testing.T, opts ...Option) (*Dataset, []byte, []byte, string) {
 	t.Helper()
 	dir := t.TempDir()
 	st, err := store.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds, err := Build(context.Background(), ckptScale(), append([]Option{WithStore(st)}, opts...)...)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ds, tree := tracedBuild(t, ckptScale(), append([]Option{WithStore(st)}, opts...)...)
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +46,7 @@ func buildLogs(t *testing.T, opts ...Option) (*Dataset, []byte, []byte) {
 	} else if err != nil {
 		t.Fatal(err)
 	}
-	return ds, res, snap
+	return ds, res, snap, tree
 }
 
 // TestWarmupCheckpointsIdentity is the amortisation-never-approximation
@@ -58,11 +56,11 @@ func buildLogs(t *testing.T, opts ...Option) (*Dataset, []byte, []byte) {
 // option off no snapshot sidecar may even exist.
 func TestWarmupCheckpointsIdentity(t *testing.T) {
 	sims0 := SearchSimCount()
-	plain, plainRes, plainSnap := buildLogs(t)
+	plain, plainRes, plainSnap, _ := buildLogs(t)
 	plainSims := SearchSimCount() - sims0
 
 	sims0 = SearchSimCount()
-	ck, ckRes, ckSnap := buildLogs(t, WithWarmupCheckpoints())
+	ck, ckRes, ckSnap, _ := buildLogs(t, WithWarmupCheckpoints())
 	ckSims := SearchSimCount() - sims0
 
 	if plainSnap != nil {
@@ -82,21 +80,26 @@ func TestWarmupCheckpointsIdentity(t *testing.T) {
 	}
 }
 
-// TestWarmupCheckpointsWorkersIdentity extends the WithWorkers contract
-// to the snapshot sidecar: any worker count must produce byte-identical
+// TestWarmupCheckpointsWorkersIdentity extends the fan-out contract to
+// the snapshot sidecar: any GOMAXPROCS must produce byte-identical
 // results.log AND snapshots.log — snapshot commits stay serialised in
-// the sequential build's order.
+// the sequential build's order — and the same span tree.
 func TestWarmupCheckpointsWorkersIdentity(t *testing.T) {
-	seq, seqRes, seqSnap := buildLogs(t, WithWarmupCheckpoints(), WithWorkers(1))
-	par, parRes, parSnap := buildLogs(t, WithWarmupCheckpoints(), WithWorkers(4))
+	withProcs(t, 1)
+	seq, seqRes, seqSnap, seqTree := buildLogs(t, WithWarmupCheckpoints())
+	withProcs(t, 4)
+	par, parRes, parSnap, parTree := buildLogs(t, WithWarmupCheckpoints())
 	if got, want := par.Digest(), seq.Digest(); got != want {
-		t.Errorf("dataset digest: workers=4 %s, sequential %s", got, want)
+		t.Errorf("dataset digest: GOMAXPROCS=4 %s, GOMAXPROCS=1 %s", got, want)
 	}
 	if !bytes.Equal(seqRes, parRes) {
-		t.Errorf("results.log differs: sequential %d bytes, workers=4 %d bytes", len(seqRes), len(parRes))
+		t.Errorf("results.log differs: GOMAXPROCS=1 %d bytes, GOMAXPROCS=4 %d bytes", len(seqRes), len(parRes))
 	}
 	if !bytes.Equal(seqSnap, parSnap) {
-		t.Errorf("snapshots.log differs: sequential %d bytes, workers=4 %d bytes", len(seqSnap), len(parSnap))
+		t.Errorf("snapshots.log differs: GOMAXPROCS=1 %d bytes, GOMAXPROCS=4 %d bytes", len(seqSnap), len(parSnap))
+	}
+	if parTree != seqTree {
+		t.Errorf("span tree digest: GOMAXPROCS=4 %s, GOMAXPROCS=1 %s", parTree, seqTree)
 	}
 	if len(seqSnap) == 0 {
 		t.Error("checkpointed builds wrote no snapshots")

@@ -18,13 +18,13 @@ import (
 	"math/rand/v2"
 	"sort"
 	"strconv"
-	"sync"
 
 	"repro/internal/arch"
 	"repro/internal/core"
 	"repro/internal/counters"
 	"repro/internal/cpu"
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/stats"
 	"repro/internal/store"
 	"repro/internal/surrogate"
@@ -202,10 +202,6 @@ type Dataset struct {
 
 	trained map[counters.Set]*core.Predictor // TrainAll memo
 
-	// workers bounds the simulation fan-out (see WithWorkers); 1 means
-	// the fully sequential build.
-	workers int
-
 	// sur, when non-nil, is the surrogate-guided pruning state (see
 	// WithSurrogate). nil keeps every code path byte-identical to the
 	// plain build.
@@ -232,7 +228,6 @@ type Option func(*buildOptions)
 
 type buildOptions struct {
 	store       *store.Store
-	workers     int
 	surrogate   *surrogate.Config
 	searchLimit int
 	warmCkpt    bool
@@ -249,18 +244,6 @@ func WithStore(st *store.Store) Option {
 	return func(o *buildOptions) { o.store = st }
 }
 
-// WithWorkers bounds the build's simulation fan-out: independent
-// simulations within one batch (the shared uniform sample, each sweep
-// batch, and the profiling pass) run on up to n goroutines. All side
-// effects — memo inserts, sample-space promotion, best updates, store
-// appends and telemetry spans — are applied strictly in the sequential
-// build's order, so any worker count produces the byte-identical dataset
-// and store log. Values below 1 (and the default) mean fully sequential,
-// the right choice on a one-core machine.
-func WithWorkers(n int) Option {
-	return func(o *buildOptions) { o.workers = n }
-}
-
 // WithSearchLimit stops the build after the design-space search of the
 // first n phases (in PhaseIDs order) and skips every later stage —
 // best-static, good sets, profiling, features. The returned Dataset is
@@ -275,12 +258,22 @@ func WithSearchLimit(n int) Option {
 
 // Build runs the full data-gathering pipeline at the given scale: the
 // single entry point (the deprecated BuildDataset/BuildDatasetCtx/
-// BuildDatasetStore trio it replaced is gone). The pipeline checks ctx
-// between phases (the per-phase granularity keeps a SIGINT during adaptd's
-// first-boot training prompt without threading ctx into the simulator's
-// inner loop); a cancelled build returns ctx.Err() wrapped with the stage
-// it was in. Behaviour beyond that is opted into per call — see WithStore,
-// WithWorkers and WithSurrogate.
+// BuildDatasetStore trio it replaced is gone).
+//
+// Independent simulations — the stage-1 shared sample, each stage-3
+// sweep batch, the surrogate's exact batches and the profiling pass — fan
+// out on every core through par.Each. All side effects (memo inserts,
+// sample-space promotion, best updates, store appends, spans and
+// progress) are applied afterwards in the sequential order, so the
+// dataset, the store log and the span tree are byte-identical for any
+// GOMAXPROCS.
+//
+// The pipeline checks ctx between phases and before each fanned-out
+// simulation (the granularity keeps a SIGINT during adaptd's first-boot
+// training prompt without threading ctx into the simulator's inner
+// loop); a cancelled build returns ctx.Err() wrapped with the stage it
+// was in. Behaviour beyond that is opted into per call — see WithStore,
+// WithSurrogate and WithWarmupCheckpoints.
 func Build(ctx context.Context, sc Scale, opts ...Option) (*Dataset, error) {
 	var bo buildOptions
 	for _, opt := range opts {
@@ -297,10 +290,6 @@ func Build(ctx context.Context, sc Scale, opts ...Option) (*Dataset, error) {
 		FeaturesBasic: map[PhaseID][]float64{},
 		ProfileRes:    map[PhaseID]*cpu.Result{},
 		store:         bo.store,
-		workers:       bo.workers,
-	}
-	if ds.workers < 1 {
-		ds.workers = 1
 	}
 	if bo.surrogate != nil {
 		ds.sur = newSurrogateState(*bo.surrogate, sc.Seed)
@@ -348,7 +337,7 @@ func Build(ctx context.Context, sc Scale, opts ...Option) (*Dataset, error) {
 			return nil, fmt.Errorf("experiment: search cancelled: %w", err)
 		}
 		psp := tr.Start("search " + id.String())
-		if err := ds.searchPhase(id, rng); err != nil {
+		if err := ds.searchPhase(ctx, id, rng); err != nil {
 			psp.Finish()
 			sp.Finish()
 			return nil, fmt.Errorf("experiment: phase %s: %w", id, err)
@@ -373,75 +362,34 @@ func Build(ctx context.Context, sc Scale, opts ...Option) (*Dataset, error) {
 	sp.Finish()
 
 	// Profile every phase on the profiling configuration. Profiling runs
-	// are pure — never memoised, never stored — so with WithWorkers they
-	// fan out as-is; spans, assignments and progress still land in phase
-	// order, keeping the span tree and the dataset byte-identical.
+	// are pure — never memoised, never stored — so they fan out as-is;
+	// spans, assignments and progress land in phase order afterwards. With
+	// checkpoints on, snapshot fetches happen before the fan-out and
+	// captured snapshots are committed by the ordered loop: the snapshot
+	// cache and sidecar are only ever touched from sequential code.
 	sp = tr.Start("profile")
 	profOpts := cpu.Options{
 		Collect:     true,
 		SampledSets: sc.SampledSets,
 		WarmupInsts: sc.WarmupInsts,
 	}
-	profRes := make([]*cpu.Result, len(ds.Phases))
-	profErr := make([]error, len(ds.Phases))
-	profCap := make([][]byte, len(ds.Phases))
-	profKey := make([]store.Key, len(ds.Phases))
-	profCk := make([]bool, len(ds.Phases))
-	if ds.workers > 1 && len(ds.Phases) > 1 {
-		// With checkpoints on, snapshot fetches happen here — before the
-		// fan-out — and captured snapshots are handed back for the ordered
-		// loop below to commit: the snapshot cache and sidecar are only
-		// ever touched from sequential sections, so the sidecar's bytes
-		// stay identical for any worker count.
-		profSnap := make([][]byte, len(ds.Phases))
-		if ds.ckpt != nil {
-			for i, id := range ds.Phases {
-				if key, ok := ds.ckptKey(id, arch.Profiling(), ds.traces[id], profOpts); ok {
-					profCk[i], profKey[i] = true, key
-					profSnap[i] = ds.ckptFetch(key)
-				}
-			}
-		}
-		work := make(chan int, len(ds.Phases))
-		for i := range ds.Phases {
-			work <- i
-		}
-		close(work)
-		nw := ds.workers
-		if nw > len(ds.Phases) {
-			nw = len(ds.Phases)
-		}
-		var wg sync.WaitGroup
-		for w := 0; w < nw; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range work {
-					if profCk[i] {
-						profRes[i], profCap[i], profErr[i] = ckptExec(arch.Profiling(), ds.traces[ds.Phases[i]], profOpts, profSnap[i])
-						if profErr[i] == nil {
-							obsSims.Inc()
-						}
-						continue
-					}
-					profRes[i], profErr[i] = ds.simulate(ds.Phases[i], arch.Profiling(), profOpts, false)
-				}
-			}()
-		}
-		wg.Wait()
+	prof := make([]batchElem, len(ds.Phases))
+	for i, id := range ds.Phases {
+		prof[i] = ds.newSim(id, arch.Profiling(), ds.traces[id], profOpts)
+	}
+	err := par.Each(ctx, len(ds.Phases), func(i int) {
+		prof[i].exec(ds.traces[ds.Phases[i]], profOpts)
+	})
+	if err != nil {
+		sp.Finish()
+		return nil, fmt.Errorf("experiment: profiling cancelled: %w", err)
 	}
 	for i, id := range ds.Phases {
-		if err := ctx.Err(); err != nil {
-			sp.Finish()
-			return nil, fmt.Errorf("experiment: profiling cancelled: %w", err)
-		}
 		psp := tr.Start("profile " + id.String())
-		res, err := profRes[i], profErr[i]
-		if res == nil && err == nil {
-			res, err = ds.simulate(id, arch.Profiling(), profOpts, false)
-		}
-		if err == nil && profCk[i] {
-			err = ds.ckptCommit(profKey[i], profCap[i])
+		e := &prof[i]
+		err := e.err
+		if err == nil {
+			err = ds.ckptCommit(e.skey, e.captured)
 		}
 		if err != nil {
 			psp.Finish()
@@ -449,9 +397,10 @@ func Build(ctx context.Context, sc Scale, opts ...Option) (*Dataset, error) {
 			return nil, fmt.Errorf("experiment: profiling %s: %w", id, err)
 		}
 		psp.Finish()
-		ds.ProfileRes[id] = res
-		ds.FeaturesAdv[id] = counters.Features(res, counters.Advanced)
-		ds.FeaturesBasic[id] = counters.Features(res, counters.Basic)
+		obsSims.Inc()
+		ds.ProfileRes[id] = e.res
+		ds.FeaturesAdv[id] = counters.Features(e.res, counters.Advanced)
+		ds.FeaturesBasic[id] = counters.Features(e.res, counters.Basic)
 		reportProgress("profile", i+1, len(ds.Phases))
 	}
 	sp.Finish()
@@ -500,13 +449,12 @@ type entry struct {
 }
 
 // searchPhase runs the three-stage search for one phase.
-func (ds *Dataset) searchPhase(id PhaseID, rng *rand.Rand) error {
+func (ds *Dataset) searchPhase(ctx context.Context, id PhaseID, rng *rand.Rand) error {
 	if ds.sur != nil {
-		return ds.searchPhaseSurrogate(id, rng)
+		return ds.searchPhaseSurrogate(ctx, id, rng)
 	}
-	// Stage 1: the shared uniform sample — a fixed batch, fanned across
-	// the worker pool.
-	if err := ds.runBatch(id, ds.SharedConfigs); err != nil {
+	// Stage 1: the shared uniform sample — a fixed batch, fanned out.
+	if err := ds.runBatch(ctx, id, ds.SharedConfigs); err != nil {
 		return err
 	}
 	// Stage 2: local neighbours of the incumbent. Inherently sequential:
@@ -517,11 +465,10 @@ func (ds *Dataset) searchPhase(id PhaseID, rng *rand.Rand) error {
 		}
 	}
 	// Stage 3: one-at-a-time sweep of selected parameters. Each
-	// parameter's batch is fixed by the incumbent before the batch runs,
-	// exactly like the sequential loop (Best can only move between
-	// parameters, never mid-sweep input).
+	// parameter's batch is fixed by the incumbent before the batch runs
+	// (Best can only move between parameters, never mid-sweep input).
 	for _, p := range ds.Scale.SweepParams {
-		if err := ds.runBatch(id, arch.Sweep(ds.Best[id], p)); err != nil {
+		if err := ds.runBatch(ctx, id, arch.Sweep(ds.Best[id], p)); err != nil {
 			return err
 		}
 	}
@@ -529,7 +476,8 @@ func (ds *Dataset) searchPhase(id PhaseID, rng *rand.Rand) error {
 }
 
 // batchElem classifies one batch configuration: already memoised, answered
-// by the store, or needing a fresh simulation.
+// by the store, or needing a fresh simulation. The profiling pass uses it
+// for its simulations too.
 type batchElem struct {
 	cfg  arch.Config
 	res  *cpu.Result
@@ -544,24 +492,47 @@ type batchElem struct {
 	skey     store.Key
 	snap     []byte
 	captured []byte
+
+	ran bool // a kind-2 simulation ran (false only after a cancellation)
 }
 
-// runBatch evaluates cfgs on one phase in sample mode. With one worker it
-// is exactly the sequential SampleResult loop. With more, it classifies
-// every configuration first (no side effects), fans the fresh simulations
-// across the pool, then applies all side effects — sample-space promotion,
-// best updates, memo inserts and store appends — strictly in cfgs order:
-// the dataset and the store log come out byte-identical to the sequential
-// build for any worker count.
-func (ds *Dataset) runBatch(id PhaseID, cfgs []arch.Config) error {
-	if ds.workers <= 1 || len(cfgs) < 2 {
-		for _, cfg := range cfgs {
-			if _, err := ds.SampleResult(id, cfg); err != nil {
-				return err
-			}
-		}
-		return nil
+// newSim prepares one simulation of cfg on insts for exec. With
+// checkpointing on, the warmup snapshot key and any known snapshot are
+// fetched here, so callers must be sequential code.
+func (ds *Dataset) newSim(id PhaseID, cfg arch.Config, insts []trace.Inst, opts cpu.Options) batchElem {
+	e := batchElem{cfg: cfg}
+	if key, ok := ds.ckptKey(id, cfg, insts, opts); ok {
+		e.ck, e.skey, e.snap = true, key, ds.ckptFetch(key)
 	}
+	return e
+}
+
+// exec runs the elem's simulation on insts, restoring or capturing its
+// warmup snapshot when checkpointing applies. Pure — it writes only the
+// elem, so the fan-out calls it from worker goroutines.
+func (e *batchElem) exec(insts []trace.Inst, opts cpu.Options) {
+	e.ran = true
+	if e.ck {
+		e.res, e.captured, e.err = ckptExec(e.cfg, insts, opts, e.snap)
+		return
+	}
+	sim, err := cpu.New(e.cfg)
+	if err != nil {
+		e.err = err
+		return
+	}
+	e.res, e.err = sim.Run(cpu.NewSliceSource(insts), len(insts), opts)
+}
+
+// runBatch evaluates cfgs on one phase in sample mode, with exactly the
+// effect of calling SampleResult on each in turn. It classifies every
+// configuration first (no side effects), fans the fresh simulations out
+// through par.Each, then applies all side effects — sample-space
+// promotion, best updates, memo inserts and store appends — strictly in
+// cfgs order: the dataset and the store log are byte-identical for any
+// GOMAXPROCS. On cancellation the results that did run are committed up
+// to the first one that did not, as the sequential loop would have.
+func (ds *Dataset) runBatch(ctx context.Context, id PhaseID, cfgs []arch.Config) error {
 	insts, ok := ds.traces[id]
 	if !ok {
 		return fmt.Errorf("experiment: unknown phase %s", id)
@@ -569,7 +540,7 @@ func (ds *Dataset) runBatch(id PhaseID, cfgs []arch.Config) error {
 	opts := cpu.Options{WarmupInsts: ds.Scale.WarmupInsts}
 	elems := make([]batchElem, len(cfgs))
 	batchSeen := make(map[arch.Config]bool, len(cfgs))
-	nmiss := 0
+	var miss []int // indices of kind-2 elems, in cfgs order
 	for i, cfg := range cfgs {
 		elems[i].cfg = cfg
 		if batchSeen[cfg] {
@@ -589,7 +560,6 @@ func (ds *Dataset) runBatch(id PhaseID, cfgs []arch.Config) error {
 				continue
 			}
 		}
-		elems[i].kind = 2
 		// Snapshot prefetch happens here, sequentially: within a batch
 		// every kind-2 config is distinct and the key pins the full
 		// config, so batch "groups" by warmup key are singletons — each
@@ -597,46 +567,13 @@ func (ds *Dataset) runBatch(id PhaseID, cfgs []arch.Config) error {
 		// the key projection is ever narrowed (see store.SnapshotKey),
 		// later elems of a group restore what earlier elems committed in
 		// the preceding batch, never mid-batch.
-		if key, ok := ds.ckptKey(id, cfg, insts, opts); ok {
-			elems[i].ck, elems[i].skey = true, key
-			elems[i].snap = ds.ckptFetch(key)
-		}
-		nmiss++
+		elems[i] = ds.newSim(id, cfg, insts, opts)
+		elems[i].kind = 2
+		miss = append(miss, i)
 	}
-	if nmiss > 0 {
-		work := make(chan int, nmiss)
-		for i := range elems {
-			if elems[i].kind == 2 {
-				work <- i
-			}
-		}
-		close(work)
-		nw := ds.workers
-		if nw > nmiss {
-			nw = nmiss
-		}
-		var wg sync.WaitGroup
-		for w := 0; w < nw; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range work {
-					e := &elems[i]
-					if e.ck {
-						e.res, e.captured, e.err = ckptExec(e.cfg, insts, opts, e.snap)
-						continue
-					}
-					sim, err := cpu.New(e.cfg)
-					if err != nil {
-						e.err = err
-						continue
-					}
-					e.res, e.err = sim.Run(cpu.NewSliceSource(insts), len(insts), opts)
-				}
-			}()
-		}
-		wg.Wait()
-	}
+	cancelErr := par.Each(ctx, len(miss), func(j int) {
+		elems[miss[j]].exec(insts, opts)
+	})
 	for i := range elems {
 		e := &elems[i]
 		switch e.kind {
@@ -648,8 +585,14 @@ func (ds *Dataset) runBatch(id PhaseID, cfgs []arch.Config) error {
 		case 1:
 			ds.memoize(id, e.cfg, e.res, true)
 		default:
+			if !e.ran {
+				return fmt.Errorf("experiment: search cancelled: %w", cancelErr)
+			}
 			if e.err != nil {
-				return fmt.Errorf("experiment: phase %s: %w", id, e.err)
+				return e.err
+			}
+			if err := ds.ckptCommit(e.skey, e.captured); err != nil {
+				return err
 			}
 			obsSims.Inc()
 			ds.countExact()
@@ -658,11 +601,6 @@ func (ds *Dataset) runBatch(id PhaseID, cfgs []arch.Config) error {
 				key := store.Fingerprint(id.Program, id.Phase, e.cfg, len(insts), opts.WarmupInsts)
 				if err := ds.store.Put(key, e.res); err != nil {
 					return fmt.Errorf("experiment: persisting %s result: %w", id, err)
-				}
-			}
-			if e.ck {
-				if err := ds.ckptCommit(e.skey, e.captured); err != nil {
-					return err
 				}
 			}
 		}
@@ -732,27 +670,15 @@ func (ds *Dataset) simulate(id PhaseID, cfg arch.Config, opts cpu.Options, inSam
 			return res, nil
 		}
 	}
-	var res *cpu.Result
-	if skey, ck := ds.ckptKey(id, cfg, insts, opts); ck {
-		r, captured, err := ckptExec(cfg, insts, opts, ds.ckptFetch(skey))
-		if err != nil {
-			return nil, err
-		}
-		if err := ds.ckptCommit(skey, captured); err != nil {
-			return nil, err
-		}
-		res = r
-	} else {
-		sim, err := cpu.New(cfg)
-		if err != nil {
-			return nil, err
-		}
-		r, err := sim.Run(cpu.NewSliceSource(insts), len(insts), opts)
-		if err != nil {
-			return nil, err
-		}
-		res = r
+	e := ds.newSim(id, cfg, insts, opts)
+	e.exec(insts, opts)
+	if e.err != nil {
+		return nil, e.err
 	}
+	if err := ds.ckptCommit(e.skey, e.captured); err != nil {
+		return nil, err
+	}
+	res := e.res
 	obsSims.Inc()
 	if inSample && !opts.Collect {
 		ds.countExact()

@@ -12,7 +12,7 @@ import (
 // with the section split the manifest contract requires. Deterministic:
 // the resolved scale, the store schema version and the dataset digest —
 // everything a replay of the same configuration (cold or warm store, any
-// worker count, surrogate flag held fixed) reproduces byte-for-byte,
+// GOMAXPROCS, surrogate flag held fixed) reproduces byte-for-byte,
 // including the surrogate's selection statistics, which depend only on
 // the seed. Timing: the simulation/memoisation counters, which depend on
 // store warm state (a warm replay pays for fewer simulations — that is

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -79,6 +80,30 @@ func TestBuildCancelled(t *testing.T) {
 	}
 	if _, err := ds.EvaluateModelCtx(ctx, counters.Basic); err == nil || !strings.Contains(err.Error(), "cancelled") {
 		t.Errorf("EvaluateModelCtx with cancelled ctx: err = %v, want cancellation", err)
+	}
+}
+
+// TestBuildCancelledBeforeProfiling cancels once the search has finished:
+// the profiling fan-out must not start a single simulation, and Build
+// must report the cancellation from the profiling stage.
+func TestBuildCancelledBeforeProfiling(t *testing.T) {
+	withProcs(t, 4)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var simsAtCancel uint64
+	SetProgress(func(stage string, done, total int) {
+		if stage == "search" && done == total {
+			_, simsAtCancel = MemoStats()
+			cancel()
+		}
+	})
+	defer SetProgress(nil)
+	_, err := Build(ctx, obsScale())
+	if !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "profiling cancelled") {
+		t.Fatalf("err = %v, want a profiling cancellation", err)
+	}
+	if _, sims := MemoStats(); sims != simsAtCancel {
+		t.Errorf("%d simulations ran after the cancellation", sims-simsAtCancel)
 	}
 }
 

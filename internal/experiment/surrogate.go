@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"math"
 	"math/rand/v2"
 	"sort"
@@ -159,7 +160,7 @@ func pickAudit(rng *rand.Rand, pool []int, k int) []int {
 // free, exactly as CLAUDE.md requires of them). Memoised candidates are
 // always promoted: their exact result is already paid for, pruning it
 // would discard information.
-func (ds *Dataset) surveyBatch(id PhaseID, cfgs []arch.Config) error {
+func (ds *Dataset) surveyBatch(ctx context.Context, id PhaseID, cfgs []arch.Config) error {
 	s := ds.sur
 	s.maybeFit()
 
@@ -228,7 +229,7 @@ func (ds *Dataset) surveyBatch(id PhaseID, cfgs []arch.Config) error {
 	for i, idx := range eval {
 		evalCfgs[i] = cfgs[idx]
 	}
-	if err := ds.runBatch(id, evalCfgs); err != nil {
+	if err := ds.runBatch(ctx, id, evalCfgs); err != nil {
 		return err
 	}
 	for _, cfg := range evalCfgs {
@@ -285,8 +286,8 @@ func (ds *Dataset) surveyBatch(id PhaseID, cfgs []arch.Config) error {
 // search rng consumption therefore differs from the plain build — allowed,
 // because surrogate-on builds are a different (still deterministic)
 // protocol; the plain path is untouched.
-func (ds *Dataset) searchPhaseSurrogate(id PhaseID, rng *rand.Rand) error {
-	if err := ds.surveyBatch(id, ds.SharedConfigs); err != nil {
+func (ds *Dataset) searchPhaseSurrogate(ctx context.Context, id PhaseID, rng *rand.Rand) error {
+	if err := ds.surveyBatch(ctx, id, ds.SharedConfigs); err != nil {
 		return err
 	}
 	if n := ds.Scale.LocalSamples; n > 0 {
@@ -294,12 +295,12 @@ func (ds *Dataset) searchPhaseSurrogate(id PhaseID, rng *rand.Rand) error {
 		for i := 0; i < n; i++ {
 			cands = append(cands, arch.Neighbor(ds.Best[id], rng))
 		}
-		if err := ds.surveyBatch(id, cands); err != nil {
+		if err := ds.surveyBatch(ctx, id, cands); err != nil {
 			return err
 		}
 	}
 	for _, p := range ds.Scale.SweepParams {
-		if err := ds.surveyBatch(id, arch.Sweep(ds.Best[id], p)); err != nil {
+		if err := ds.surveyBatch(ctx, id, arch.Sweep(ds.Best[id], p)); err != nil {
 			return err
 		}
 	}

@@ -96,7 +96,7 @@ func TestSurrogateReducesExactSims(t *testing.T) {
 
 // TestSurrogateDeterministic asserts the surrogate build is reproducible:
 // the same seed gives the same shortlist — hence the same sample space,
-// bests and counters — for any worker count.
+// bests, counters and span tree — for any GOMAXPROCS.
 func TestSurrogateDeterministic(t *testing.T) {
 	sc := TestScale()
 	sc.Programs = []string{"mcf", "swim", "crafty"}
@@ -105,19 +105,18 @@ func TestSurrogateDeterministic(t *testing.T) {
 	sc.SweepParams = DefaultScale().SweepParams[:2] // exercise stage 3 too
 
 	cfg := surrogate.Config{}
-	a, err := Build(context.Background(), sc, WithSurrogate(cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
+	withProcs(t, 1)
+	a, aTree := tracedBuild(t, sc, WithSurrogate(cfg))
 	b, err := Build(context.Background(), sc, WithSurrogate(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := Build(context.Background(), sc, WithSurrogate(cfg), WithWorkers(4))
-	if err != nil {
-		t.Fatal(err)
+	withProcs(t, 4)
+	w, wTree := tracedBuild(t, sc, WithSurrogate(cfg))
+	if wTree != aTree {
+		t.Errorf("span tree digest: GOMAXPROCS=4 %s, GOMAXPROCS=1 %s", wTree, aTree)
 	}
-	for name, other := range map[string]*Dataset{"rerun": b, "workers=4": w} {
+	for name, other := range map[string]*Dataset{"rerun": b, "GOMAXPROCS=4": w} {
 		if a.BestStatic != other.BestStatic {
 			t.Errorf("%s: best static differs: %v vs %v", name, a.BestStatic, other.BestStatic)
 		}

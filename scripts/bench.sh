@@ -32,7 +32,8 @@ echo "== go test -bench, dataset build cold vs warmup-checkpointed (6 builds eac
 # every warmup, warm-ckpt restores them from the snapshot sidecar (README
 # "Warmup checkpoints"). The recorded baseline carries the pre-checkpoint
 # build cost under both names, so the warm-ckpt row's speedup is the
-# amortisation win.
+# amortisation win. Both builds fan their simulations out on every core,
+# so these rows compare only between runs at the same GOMAXPROCS.
 go test -run XXX -bench 'BenchmarkDatasetBuild' \
     -benchtime 6x ./internal/experiment | tee -a "$raw"
 

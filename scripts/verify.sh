@@ -33,10 +33,17 @@ echo "== training golden (soft-max byte-identity) =="
 # at TestScale must stay bit-identical under training optimisations.
 go test -count=1 -run TestTrainingGolden ./internal/experiment
 
+echo "== build golden (dataset build byte-identity) =="
+# The same tripwire for the dataset build: the TestScale dataset digest,
+# results.log and span tree, pinned from the sequential build, must be
+# reproduced by the build's fan-out at GOMAXPROCS 1 and 4.
+go test -count=1 -run TestBuildGolden ./internal/experiment
+
 echo "== go test -race internal/experiment =="
-# Exercises the WithWorkers build fan-out (workers_test.go) under the
-# race detector.
-go test -race ./internal/experiment
+# Every Build fans its simulations out through internal/par, so each
+# build in the package's tests runs the fan-out under the race detector
+# (procs_test.go pins GOMAXPROCS 1 against 4).
+go test -race ./internal/experiment ./internal/par
 
 echo "== go test -race internal/softmax internal/core internal/counters =="
 # Exercises the parallel per-parameter training fan-out and concurrent
@@ -78,6 +85,31 @@ bad_dir=$(mktemp -d /tmp/verify-badstore.XXXXXX)
 trap 'rm -rf "$trace_out" "$cache_dir" "$cold_out" "$warm_out" "$warm_err" "$sur_off_out" "$sur_off_err" "$sur_on_out" "$sur_on_err" "$cold_man" "$warm_man" "$fab_dir" "$fab_out" "$fab_err" "$merged_dir" "$replay_out" "$replay_err" "$replay_man" "$bad_dir"' EXIT
 go run ./cmd/report -scale test -skip-slow -trace "$trace_out" >"$sur_off_out" 2>"$sur_off_err"
 go run ./scripts/checktrace "$trace_out"
+
+echo "== core-count identity smoke =="
+# The build fans out on every core; its output must not depend on how many
+# there are. A one-proc report and a default-proc report must print the
+# byte-identical stdout and write manifests whose deterministic sections
+# (dataset digest, span-tree digest, span counts) match; the core count
+# itself is recorded only in the timing section.
+procs1_out=$(mktemp /tmp/verify-procs1.XXXXXX)
+procs1_man=$(mktemp /tmp/verify-procs1man.XXXXXX.json)
+procsN_out=$(mktemp /tmp/verify-procsN.XXXXXX)
+procsN_man=$(mktemp /tmp/verify-procsNman.XXXXXX.json)
+trap 'rm -rf "$trace_out" "$cache_dir" "$cold_out" "$warm_out" "$warm_err" "$sur_off_out" "$sur_off_err" "$sur_on_out" "$sur_on_err" "$cold_man" "$warm_man" "$fab_dir" "$fab_out" "$fab_err" "$merged_dir" "$replay_out" "$replay_err" "$replay_man" "$bad_dir" "$procs1_out" "$procs1_man" "$procsN_out" "$procsN_man"' EXIT
+GOMAXPROCS=1 go run ./cmd/report -scale test -skip-slow -manifest "$procs1_man" >"$procs1_out" 2>/dev/null
+go run ./cmd/report -scale test -skip-slow -manifest "$procsN_man" >"$procsN_out" 2>/dev/null
+if ! cmp -s "$procs1_out" "$procsN_out"; then
+    echo "core-count smoke: GOMAXPROCS=1 and default-proc stdout differ" >&2
+    diff "$procs1_out" "$procsN_out" | head -20 >&2
+    exit 1
+fi
+go run ./cmd/obsdiff "$procs1_man" "$procsN_man"
+if ! grep -Eq '"gomaxprocs": 1,?$' "$procs1_man"; then
+    echo "core-count smoke: the GOMAXPROCS=1 manifest does not record gomaxprocs 1" >&2
+    exit 1
+fi
+echo "core-count smoke: GOMAXPROCS=1 and default ($(grep -o '"gomaxprocs": [0-9]*' "$procsN_man" | grep -o '[0-9]*$')) byte-identical"
 
 echo "== report result-store cold/warm smoke =="
 go run ./cmd/report -scale test -skip-slow -cache-dir "$cache_dir" -manifest "$cold_man" >"$cold_out" 2>/dev/null
@@ -157,7 +189,7 @@ ckpt1_out=$(mktemp /tmp/verify-ckpt1.XXXXXX)
 ckpt2_out=$(mktemp /tmp/verify-ckpt2.XXXXXX)
 ckpt2_err=$(mktemp /tmp/verify-ckpt2err.XXXXXX)
 bad_snap_dir=$(mktemp -d /tmp/verify-badsnap.XXXXXX)
-trap 'rm -rf "$trace_out" "$cache_dir" "$cold_out" "$warm_out" "$warm_err" "$sur_off_out" "$sur_off_err" "$sur_on_out" "$sur_on_err" "$cold_man" "$warm_man" "$fab_dir" "$fab_out" "$fab_err" "$merged_dir" "$replay_out" "$replay_err" "$replay_man" "$bad_dir" "$ckpt_dir" "$ckpt1_out" "$ckpt2_out" "$ckpt2_err" "$bad_snap_dir"' EXIT
+trap 'rm -rf "$trace_out" "$cache_dir" "$cold_out" "$warm_out" "$warm_err" "$sur_off_out" "$sur_off_err" "$sur_on_out" "$sur_on_err" "$cold_man" "$warm_man" "$fab_dir" "$fab_out" "$fab_err" "$merged_dir" "$replay_out" "$replay_err" "$replay_man" "$bad_dir" "$procs1_out" "$procs1_man" "$procsN_out" "$procsN_man" "$ckpt_dir" "$ckpt1_out" "$ckpt2_out" "$ckpt2_err" "$bad_snap_dir"' EXIT
 if [ -e "$cache_dir/snapshots.log" ]; then
     echo "ckpt smoke: checkpoint-off runs wrote a snapshot sidecar" >&2
     exit 1
@@ -303,7 +335,7 @@ echo "== adaptd batch loadgen smoke =="
 # clean report plus a populated batch-size histogram in the metrics dump.
 model_dir=$(mktemp -d /tmp/verify-adaptd.XXXXXX)
 loadgen_out=$(mktemp /tmp/verify-loadgen.XXXXXX)
-trap 'rm -rf "$trace_out" "$cache_dir" "$cold_out" "$warm_out" "$warm_err" "$sur_off_out" "$sur_off_err" "$sur_on_out" "$sur_on_err" "$cold_man" "$warm_man" "$fab_dir" "$fab_out" "$fab_err" "$merged_dir" "$replay_out" "$replay_err" "$replay_man" "$bad_dir" "$ckpt_dir" "$ckpt1_out" "$ckpt2_out" "$ckpt2_err" "$bad_snap_dir" "$model_dir" "$loadgen_out"' EXIT
+trap 'rm -rf "$trace_out" "$cache_dir" "$cold_out" "$warm_out" "$warm_err" "$sur_off_out" "$sur_off_err" "$sur_on_out" "$sur_on_err" "$cold_man" "$warm_man" "$fab_dir" "$fab_out" "$fab_err" "$merged_dir" "$replay_out" "$replay_err" "$replay_man" "$bad_dir" "$procs1_out" "$procs1_man" "$procsN_out" "$procsN_man" "$ckpt_dir" "$ckpt1_out" "$ckpt2_out" "$ckpt2_err" "$bad_snap_dir" "$model_dir" "$loadgen_out"' EXIT
 go run ./cmd/adaptd -model "$model_dir/adaptd.model" -counter-set basic \
     -train-scale test -cache-dir "$cache_dir" \
     -loadgen -loadgen-requests 512 -batch 64 >"$loadgen_out" 2>/dev/null
@@ -347,7 +379,7 @@ echo "== adaptd open-loop admission/shadow smoke =="
 # report windowed latency quantiles, and the self-shadow must agree with
 # the active model exactly.
 open_out=$(mktemp /tmp/verify-openloop.XXXXXX)
-trap 'rm -rf "$trace_out" "$cache_dir" "$cold_out" "$warm_out" "$warm_err" "$sur_off_out" "$sur_off_err" "$sur_on_out" "$sur_on_err" "$cold_man" "$warm_man" "$fab_dir" "$fab_out" "$fab_err" "$merged_dir" "$replay_out" "$replay_err" "$replay_man" "$bad_dir" "$ckpt_dir" "$ckpt1_out" "$ckpt2_out" "$ckpt2_err" "$bad_snap_dir" "$model_dir" "$loadgen_out" "$open_out"' EXIT
+trap 'rm -rf "$trace_out" "$cache_dir" "$cold_out" "$warm_out" "$warm_err" "$sur_off_out" "$sur_off_err" "$sur_on_out" "$sur_on_err" "$cold_man" "$warm_man" "$fab_dir" "$fab_out" "$fab_err" "$merged_dir" "$replay_out" "$replay_err" "$replay_man" "$bad_dir" "$procs1_out" "$procs1_man" "$procsN_out" "$procsN_man" "$ckpt_dir" "$ckpt1_out" "$ckpt2_out" "$ckpt2_err" "$bad_snap_dir" "$model_dir" "$loadgen_out" "$open_out"' EXIT
 go run ./cmd/adaptd -model "$model_dir/adaptd.model" -counter-set basic \
     -shadow "$model_dir/adaptd.model" \
     -admission -admission-rate background=20:5 \
