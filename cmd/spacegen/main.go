@@ -54,11 +54,7 @@ func main() {
 			return nil
 		}
 		evaluated[cfg] = true
-		sim, err := cpu.New(cfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		res, err := sim.Run(cpu.NewSliceSource(insts), len(insts), cpu.Options{WarmupInsts: warm})
+		res, err := cpu.RunOnce(cfg, insts, cpu.Options{WarmupInsts: warm})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -30,29 +30,52 @@ const btbAssoc = 4
 // New builds a predictor with the given gshare PHT entry count and BTB
 // entry count. Both must be powers of two (all Table I values are).
 func New(gshareEntries, btbEntries int) (*Predictor, error) {
+	p := &Predictor{}
+	if err := p.Reinit(gshareEntries, btbEntries); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// Reinit reshapes p in place to the given table sizes and leaves it in
+// exactly the state New builds: PHT counters weakly taken, empty history,
+// every BTB entry invalid with zero target and LRU age, zero statistics.
+// Its tables are reused when they are large enough, which is how recycled
+// simulators avoid allocating their predictors.
+func (p *Predictor) Reinit(gshareEntries, btbEntries int) error {
 	if gshareEntries <= 0 || gshareEntries&(gshareEntries-1) != 0 {
-		return nil, fmt.Errorf("branch: gshare size %d not a positive power of two", gshareEntries)
+		return fmt.Errorf("branch: gshare size %d not a positive power of two", gshareEntries)
 	}
 	if btbEntries < btbAssoc || btbEntries&(btbEntries-1) != 0 {
-		return nil, fmt.Errorf("branch: BTB size %d not a positive power of two >= %d", btbEntries, btbAssoc)
+		return fmt.Errorf("branch: BTB size %d not a positive power of two >= %d", btbEntries, btbAssoc)
 	}
-	p := &Predictor{
-		pht:     make([]uint8, gshareEntries),
-		phtMask: uint32(gshareEntries - 1),
-		btbSets: uint32(btbEntries / btbAssoc),
-		btbWays: btbAssoc,
-	}
+	p.pht = resize(p.pht, gshareEntries)
 	for i := range p.pht {
 		p.pht[i] = 2 // weakly taken: loop-closing branches dominate
 	}
-	n := btbEntries
-	p.btbTags = make([]uint32, n)
-	p.btbTargets = make([]uint32, n)
-	p.btbLRU = make([]uint8, n)
+	p.phtMask = uint32(gshareEntries - 1)
+	p.ghr = 0
+	p.btbSets = uint32(btbEntries / btbAssoc)
+	p.btbWays = btbAssoc
+	p.btbTags = resize(p.btbTags, btbEntries)
 	for i := range p.btbTags {
 		p.btbTags[i] = 0xffffffff
 	}
-	return p, nil
+	p.btbTargets = resize(p.btbTargets, btbEntries)
+	clear(p.btbTargets)
+	p.btbLRU = resize(p.btbLRU, btbEntries)
+	clear(p.btbLRU)
+	p.ResetStats()
+	return nil
+}
+
+// resize returns s with length n, reusing its array when it is large
+// enough. The contents are unspecified; callers overwrite them.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // MustNew is New but panics on error; for configurations that come from the

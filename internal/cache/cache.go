@@ -45,42 +45,58 @@ type Cache struct {
 	sets      uint32
 	ways      uint32
 	lineShift uint32
-	tags      []uint64 // sets*ways; tag==invalidTag means empty
+	tags      []uint32 // sets*ways block addresses; invalidTag means empty
 	lru       []uint8  // age counters per line, 0 = most recent
 
 	Accesses uint64
 	Misses   uint64
 }
 
-const invalidTag = ^uint64(0)
+// invalidTag marks an empty line. Lines are at least 2 bytes, so a block
+// address of a 32-bit address is below 2^31 and never equals it.
+const invalidTag = ^uint32(0)
 
 // NewCache constructs a cache of sizeKB kilobytes with the given
-// associativity and line size (bytes, power of two).
+// associativity and line size (bytes, power of two, at least 2).
 func NewCache(sizeKB, ways, lineBytes int) (*Cache, error) {
-	if sizeKB <= 0 || ways <= 0 || lineBytes <= 0 || lineBytes&(lineBytes-1) != 0 {
-		return nil, fmt.Errorf("cache: bad geometry sizeKB=%d ways=%d line=%d", sizeKB, ways, lineBytes)
+	c := &Cache{}
+	if err := c.Reinit(sizeKB, ways, lineBytes); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// Reinit reshapes c in place to the given geometry and leaves it in
+// exactly the state NewCache builds: every line invalid, every LRU age
+// and statistic zero. Its arrays are reused when they are large enough,
+// which is how recycled simulators avoid allocating their caches.
+func (c *Cache) Reinit(sizeKB, ways, lineBytes int) error {
+	if sizeKB <= 0 || ways <= 0 || lineBytes < 2 || lineBytes&(lineBytes-1) != 0 {
+		return fmt.Errorf("cache: bad geometry sizeKB=%d ways=%d line=%d", sizeKB, ways, lineBytes)
 	}
 	lines := sizeKB * 1024 / lineBytes
 	if lines < ways {
-		return nil, fmt.Errorf("cache: %dKB/%dB has %d lines, fewer than %d ways", sizeKB, lineBytes, lines, ways)
+		return fmt.Errorf("cache: %dKB/%dB has %d lines, fewer than %d ways", sizeKB, lineBytes, lines, ways)
 	}
 	sets := lines / ways
 	if sets&(sets-1) != 0 {
-		return nil, fmt.Errorf("cache: set count %d not a power of two", sets)
+		return fmt.Errorf("cache: set count %d not a power of two", sets)
 	}
-	c := &Cache{
-		sets: uint32(sets),
-		ways: uint32(ways),
-	}
+	c.sets = uint32(sets)
+	c.ways = uint32(ways)
+	c.lineShift = 0
 	for ls := lineBytes; ls > 1; ls >>= 1 {
 		c.lineShift++
 	}
-	c.tags = make([]uint64, sets*ways)
-	c.lru = make([]uint8, sets*ways)
-	for i := range c.tags {
-		c.tags[i] = invalidTag
+	n := sets * ways
+	if cap(c.tags) < n || cap(c.lru) < n {
+		c.tags = make([]uint32, n)
+		c.lru = make([]uint8, n)
 	}
-	return c, nil
+	c.tags, c.lru = c.tags[:n], c.lru[:n]
+	c.Flush()
+	c.ResetStats()
+	return nil
 }
 
 // MustNewCache is NewCache but panics on error.
@@ -100,17 +116,12 @@ func (c *Cache) SetOf(addr uint32) uint32 {
 	return (addr >> c.lineShift) % c.sets
 }
 
-// BlockOf returns the block (line) address of addr.
-func (c *Cache) BlockOf(addr uint32) uint64 {
-	return uint64(addr) >> c.lineShift
-}
-
 // Access looks up addr, fills on miss, and reports whether the line was
 // present before the access (a hit).
 func (c *Cache) Access(addr uint32) bool {
 	c.Accesses++
 	set := c.SetOf(addr)
-	tag := c.BlockOf(addr)
+	tag := addr >> c.lineShift
 	base := set * c.ways
 	hitWay := int32(-1)
 	for w := uint32(0); w < c.ways; w++ {
@@ -160,8 +171,8 @@ func (c *Cache) ResetStats() { c.Accesses, c.Misses = 0, 0 }
 func (c *Cache) Flush() {
 	for i := range c.tags {
 		c.tags[i] = invalidTag
-		c.lru[i] = 0
 	}
+	clear(c.lru)
 }
 
 // Hierarchy is the three-level memory system of the simulated processor.
@@ -174,19 +185,29 @@ type Hierarchy struct {
 // NewHierarchy builds the hierarchy for the given Table I cache sizes (KB).
 // Associativities are fixed at 2/2/8 as in the paper's era of machines.
 func NewHierarchy(icacheKB, dcacheKB, l2KB int) (*Hierarchy, error) {
-	l1i, err := NewCache(icacheKB, 2, L1LineBytes)
-	if err != nil {
-		return nil, fmt.Errorf("L1I: %w", err)
+	h := &Hierarchy{}
+	if err := h.Reinit(icacheKB, dcacheKB, l2KB); err != nil {
+		return nil, err
 	}
-	l1d, err := NewCache(dcacheKB, 2, L1LineBytes)
-	if err != nil {
-		return nil, fmt.Errorf("L1D: %w", err)
+	return h, nil
+}
+
+// Reinit reshapes the hierarchy in place to the given sizes, leaving it in
+// exactly the state NewHierarchy builds, reusing the caches it holds.
+func (h *Hierarchy) Reinit(icacheKB, dcacheKB, l2KB int) error {
+	if h.L1I == nil {
+		h.L1I, h.L1D, h.L2 = &Cache{}, &Cache{}, &Cache{}
 	}
-	l2, err := NewCache(l2KB, 8, L2LineBytes)
-	if err != nil {
-		return nil, fmt.Errorf("L2: %w", err)
+	if err := h.L1I.Reinit(icacheKB, 2, L1LineBytes); err != nil {
+		return fmt.Errorf("L1I: %w", err)
 	}
-	return &Hierarchy{L1I: l1i, L1D: l1d, L2: l2}, nil
+	if err := h.L1D.Reinit(dcacheKB, 2, L1LineBytes); err != nil {
+		return fmt.Errorf("L1D: %w", err)
+	}
+	if err := h.L2.Reinit(l2KB, 8, L2LineBytes); err != nil {
+		return fmt.Errorf("L2: %w", err)
+	}
+	return nil
 }
 
 // AccessData looks up a data address through the hierarchy and returns the
@@ -369,7 +390,7 @@ func (c *Cache) FillFrom(old *Cache) {
 		if tag == invalidTag {
 			continue
 		}
-		c.Access(uint32(tag << old.lineShift))
+		c.Access(tag << old.lineShift)
 	}
 	c.ResetStats()
 }

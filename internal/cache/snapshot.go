@@ -24,8 +24,13 @@ func (c *Cache) AppendSnapshot(buf []byte) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, c.sets)
 	buf = binary.LittleEndian.AppendUint32(buf, c.ways)
 	buf = binary.LittleEndian.AppendUint32(buf, c.lineShift)
+	// Tags keep their 8-byte encoding: an empty line is all ones.
 	for _, tag := range c.tags {
-		buf = binary.LittleEndian.AppendUint64(buf, tag)
+		t := uint64(tag)
+		if tag == invalidTag {
+			t = ^uint64(0)
+		}
+		buf = binary.LittleEndian.AppendUint64(buf, t)
 	}
 	buf = append(buf, c.lru...)
 	return buf
@@ -52,7 +57,15 @@ func (c *Cache) RestoreSnapshot(buf []byte) ([]byte, error) {
 		return nil, fmt.Errorf("cache: snapshot truncated (%d bytes for %d lines)", len(buf), lines)
 	}
 	for i := 0; i < lines; i++ {
-		c.tags[i] = binary.LittleEndian.Uint64(buf[8*i:])
+		t := binary.LittleEndian.Uint64(buf[8*i:])
+		switch {
+		case t == ^uint64(0):
+			c.tags[i] = invalidTag
+		case t >= uint64(invalidTag):
+			return nil, fmt.Errorf("cache: snapshot tag %#x out of range", t)
+		default:
+			c.tags[i] = uint32(t)
+		}
 	}
 	buf = buf[8*lines:]
 	copy(c.lru, buf[:lines])

@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"math/rand/v2"
 	"testing"
 
 	"repro/internal/arch"
@@ -65,4 +66,33 @@ func BenchmarkSimRun(b *testing.B) {
 // collection (the per-phase profiling stage of dataset construction).
 func BenchmarkSimRunCollect(b *testing.B) {
 	benchSim(b, "vortex", arch.Profiling(), Options{Collect: true, SampledSets: 32})
+}
+
+// BenchmarkSimFresh times one simulation per op the way the dataset build
+// runs it: RunOnce on a new or recycled simulator, 8000 warmup plus 8000
+// measured instructions, each op on the next of 16 seeded random
+// configurations, so every op reshapes the recycled caches, predictor and
+// run state. Unlike BenchmarkSimRun, it pays the per-simulation cost.
+func BenchmarkSimFresh(b *testing.B) {
+	const n = 8000
+	for _, program := range []string{"gzip", "mcf"} {
+		b.Run(program, func(b *testing.B) {
+			insts := benchTrace(b, program, 0, n)
+			rng := rand.New(rand.NewPCG(0xf7e5, 16))
+			cfgs := make([]arch.Config, 16)
+			for i := range cfgs {
+				cfgs[i] = arch.Random(rng)
+			}
+			opts := Options{WarmupInsts: n}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := RunOnce(cfgs[i%len(cfgs)], insts, opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*2*n), "ns/inst")
+		})
+	}
 }

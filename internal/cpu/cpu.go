@@ -21,6 +21,8 @@ package cpu
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
 
 	"repro/internal/arch"
 	"repro/internal/branch"
@@ -162,9 +164,10 @@ type entry struct {
 	inLSQ   bool
 }
 
-// Sim is a configured processor instance. Create with New, run with Run.
-// A Sim is single-use per Run call sequence and not safe for concurrent
-// use.
+// Sim is a configured processor instance. Create with New, run with Run;
+// a one-shot simulation goes through RunOnce instead, which recycles the
+// Sim's memory. A Sim is single-use per Run call sequence and not safe
+// for concurrent use.
 type Sim struct {
 	cfg  arch.Config
 	pm   *power.Model
@@ -198,28 +201,82 @@ type Sim struct {
 	scratch *runState
 }
 
+// idle holds the simulators RunOnce has finished with. New reshapes one
+// of them instead of allocating a fresh run state, caches and predictor:
+// the memory is reused, and reset to exactly the state a fresh New
+// builds. At most GOMAXPROCS are kept, one per simulation that can run
+// at once.
+var idle struct {
+	sync.Mutex
+	sims []*Sim
+}
+
 // New builds a simulator for cfg. It returns an error if cfg is outside
 // the design space.
 func New(cfg arch.Config) (*Sim, error) {
 	if err := cfg.Check(); err != nil {
 		return nil, err
 	}
-	hier, err := cache.NewHierarchy(cfg[arch.ICacheKB], cfg[arch.DCacheKB], cfg[arch.L2CacheKB])
-	if err != nil {
+	var s *Sim
+	idle.Lock()
+	if n := len(idle.sims); n > 0 {
+		s = idle.sims[n-1]
+		idle.sims[n-1] = nil
+		idle.sims = idle.sims[:n-1]
+	}
+	idle.Unlock()
+	if s == nil {
+		s = &Sim{hier: &cache.Hierarchy{}, bp: &branch.Predictor{}}
+	}
+	if err := s.hier.Reinit(cfg[arch.ICacheKB], cfg[arch.DCacheKB], cfg[arch.L2CacheKB]); err != nil {
 		return nil, fmt.Errorf("cpu: %w", err)
 	}
-	bp, err := branch.New(cfg[arch.GshareSize], cfg[arch.BTBSize])
-	if err != nil {
+	if err := s.bp.Reinit(cfg[arch.GshareSize], cfg[arch.BTBSize]); err != nil {
 		return nil, fmt.Errorf("cpu: %w", err)
 	}
-	s := &Sim{
-		cfg:  cfg,
-		pm:   power.New(cfg),
-		hier: hier,
-		bp:   bp,
-	}
+	s.cfg = cfg
+	s.pm = power.New(cfg)
 	s.derive()
 	return s, nil
+}
+
+// RunOnce is the one-shot simulation: New(cfg), Run over a SliceSource of
+// insts under opts, then recycle the simulator for a later New. The
+// simulator never escapes, so nothing can use it after it is recycled.
+func RunOnce(cfg arch.Config, insts []trace.Inst, opts Options) (*Result, error) {
+	s, err := New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	res, err := s.Run(NewSliceSource(insts), len(insts), opts)
+	s.recycle()
+	return res, err
+}
+
+// DropIdle lets the collector have the idle simulators' memory. Call it
+// where a burst of one-shot simulations ends: the dataset build calls it
+// when it returns, so its arenas do not pad the heap that training and
+// evaluation grow afterwards.
+func DropIdle() {
+	idle.Lock()
+	clear(idle.sims)
+	idle.sims = idle.sims[:0]
+	idle.Unlock()
+}
+
+// recycle hands s to the idle list, dropping its references to caller
+// memory (the instruction slice, the collector) first. s must not be
+// used again.
+func (s *Sim) recycle() {
+	if st := s.scratch; st != nil {
+		st.srcFast, st.cnt, st.res = nil, nil, Result{}
+	}
+	s.pm = nil
+	idle.Lock()
+	if len(idle.sims) < runtime.GOMAXPROCS(0) {
+		idle.sims = append(idle.sims, s)
+	}
+	idle.Unlock()
 }
 
 // derive refreshes every config- and model-derived constant the cycle

@@ -253,6 +253,26 @@ func TestGoldenDigests(t *testing.T) {
 		return
 	}
 
+	want := readGolden(t)
+	if len(want) != len(order) {
+		t.Errorf("golden file has %d digests, suite has %d cases", len(want), len(order))
+	}
+	for _, name := range order {
+		w, ok := want[name]
+		if !ok {
+			t.Errorf("%s: no golden digest recorded", name)
+			continue
+		}
+		if got := digests[name]; got != w {
+			t.Errorf("%s: digest %s != golden %s — simulator output changed; "+
+				"if intentional, bump store.SimVersion and regenerate", name, got, w)
+		}
+	}
+}
+
+// readGolden returns the pinned digests, name -> digest.
+func readGolden(t *testing.T) map[string]string {
+	t.Helper()
 	f, err := os.Open(goldenPath)
 	if err != nil {
 		t.Fatalf("golden file missing (run REPRO_UPDATE_GOLDEN=1 go test -run TestGoldenDigests): %v", err)
@@ -274,18 +294,5 @@ func TestGoldenDigests(t *testing.T) {
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if len(want) != len(order) {
-		t.Errorf("golden file has %d digests, suite has %d cases", len(want), len(order))
-	}
-	for _, name := range order {
-		w, ok := want[name]
-		if !ok {
-			t.Errorf("%s: no golden digest recorded", name)
-			continue
-		}
-		if got := digests[name]; got != w {
-			t.Errorf("%s: digest %s != golden %s — simulator output changed; "+
-				"if intentional, bump store.SimVersion and regenerate", name, got, w)
-		}
-	}
+	return want
 }

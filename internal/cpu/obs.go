@@ -12,6 +12,8 @@ var (
 		"Correct-path instructions committed across all runs.")
 	obsCycles = obs.DefaultRegistry().Counter("repro_sim_cycles_total",
 		"Cycles simulated across all runs.")
+	obsFastForward = obs.DefaultRegistry().Counter("repro_sim_fastforward_cycles_total",
+		"Cycles skipped by fast-forward instead of stepped, across all runs.")
 	obsWarmupInsts = obs.DefaultRegistry().Counter("repro_warmup_insts",
 		"Warmup instructions actually executed (not restored from a checkpoint).")
 	obsWarmupRestores = obs.DefaultRegistry().Counter("repro_warmup_restores",

@@ -9,7 +9,12 @@ import (
 )
 
 const (
-	wbWindow         = 4096 // write-port scheduling horizon, cycles
+	wbWindow = 4096 // write-port scheduling horizon, cycles
+	// wakeWindow is the wakeup ring's horizon, cycles. It covers the
+	// longest latency (a memory access, about 220 cycles at the shallowest
+	// pipeline) plus write-port queueing; later completions wait in
+	// wakeFar. The horizon changes where a token waits, never when it acts.
+	wakeWindow       = 512
 	neverCycle       = ^uint64(0)
 	wpRingSize       = 64   // fetch history replayed down the wrong path
 	maxCyclesPerInst = 2000 // runaway guard
@@ -72,9 +77,9 @@ type runState struct {
 	cons [][]wref
 
 	// wake is the event-driven replacement for the per-cycle window scan:
-	// slot c%wbWindow holds the entries whose results complete at cycle c,
+	// slot c%wakeWindow holds the entries whose results complete at cycle c,
 	// kept sorted by seq so wakeup events replay in original scan order.
-	wake    [wbWindow][]wref
+	wake    [wakeWindow][]wref
 	wakeFar []farWref // completions beyond the ring horizon
 
 	fetchBuf []fetchedInst
@@ -123,9 +128,10 @@ func (s *Sim) getState() *runState {
 		st = &runState{}
 		s.scratch = st
 	}
-	if len(st.rob) != s.robSize {
+	if cap(st.rob) < s.robSize {
 		st.rob = make([]entry, s.robSize)
 	}
+	st.rob = st.rob[:s.robSize]
 	st.headSeq, st.nextSeq = 0, 0
 	st.headIdx, st.nextIdx = 0, 0
 	st.robCount, st.iqCount, st.lsqCount = 0, 0, 0
@@ -134,12 +140,12 @@ func (s *Sim) getState() *runState {
 		st.regProducer[i] = -1
 	}
 	st.iqList = st.iqList[:0]
-	if len(st.cons) != s.robSize {
+	if cap(st.cons) < s.robSize {
 		st.cons = make([][]wref, s.robSize)
-	} else {
-		for i := range st.cons {
-			st.cons[i] = st.cons[i][:0]
-		}
+	}
+	st.cons = st.cons[:s.robSize]
+	for i := range st.cons {
+		st.cons[i] = st.cons[i][:0]
 	}
 	// Wakeup tokens and write-port reservations can outlive a drained
 	// run (squashed entries leave both behind); clear them so sequence
@@ -289,14 +295,17 @@ func (s *Sim) Run(src Source, n int, opts Options) (*Result, error) {
 // progress, charging per-cycle accounting identically to the main loop. It
 // stops one cycle short of the next scheduled event: a wakeup token, a
 // far-horizon completion, the fetch-stall release, or the front-end
-// delivery of the oldest buffered instruction.
+// delivery of the oldest buffered instruction. A head that was already
+// delivered and still did not dispatch is blocked on the ROB, IQ, LSQ or
+// registers; only a commit, issue or flush frees those, and each of them
+// follows a wakeup token, so such a head schedules nothing.
 func (s *Sim) fastForward(st *runState, limit uint64) error {
 	stop := neverCycle
 	if st.fetchStallUntil > st.cycle {
 		stop = st.fetchStallUntil
 	}
 	if st.fbLen() > 0 {
-		if fe := st.fetchBuf[st.fbHead].fetchCycle + s.feLat; fe < stop {
+		if fe := st.fetchBuf[st.fbHead].fetchCycle + s.feLat; fe > st.cycle && fe < stop {
 			stop = fe
 		}
 	}
@@ -305,9 +314,13 @@ func (s *Sim) fastForward(st *runState, limit uint64) error {
 			stop = f.cycle
 		}
 	}
+	start := st.cycle
 	for {
 		next := st.cycle + 1
-		if next >= stop || len(st.wake[next%wbWindow]) > 0 {
+		if next >= stop || len(st.wake[next%wakeWindow]) > 0 {
+			if st.cycle > start {
+				obsFastForward.Add(st.cycle - start)
+			}
 			return nil
 		}
 		st.cycle = next
@@ -383,7 +396,7 @@ func (s *Sim) issueAndWake(st *runState) (progress, readyBlocked bool) {
 	if len(st.wakeFar) > 0 {
 		st.drainFar()
 	}
-	slot := st.cycle % wbWindow
+	slot := st.cycle % wakeWindow
 	wake := st.wake[slot]
 	if len(wake) == 0 && len(st.iqList) == 0 {
 		// No completion is due and nothing is ready to issue: the walk
@@ -571,11 +584,11 @@ func (s *Sim) issueAndWake(st *runState) (progress, readyBlocked bool) {
 // pushWake schedules a completion event for cycle fin, keeping each ring
 // slot sorted by sequence number.
 func (st *runState) pushWake(seq uint64, idx int32, fin uint64) {
-	if fin-st.cycle >= wbWindow {
+	if fin-st.cycle >= wakeWindow {
 		st.wakeFar = append(st.wakeFar, farWref{seq: seq, cycle: fin, idx: idx})
 		return
 	}
-	slot := fin % wbWindow
+	slot := fin % wakeWindow
 	l := st.wake[slot]
 	i := len(l)
 	for i > 0 && l[i-1].seq > seq {
@@ -592,8 +605,8 @@ func (st *runState) pushWake(seq uint64, idx int32, fin uint64) {
 func (st *runState) drainFar() {
 	kept := st.wakeFar[:0]
 	for _, f := range st.wakeFar {
-		if f.cycle-st.cycle < wbWindow {
-			slot := f.cycle % wbWindow
+		if f.cycle-st.cycle < wakeWindow {
+			slot := f.cycle % wakeWindow
 			l := st.wake[slot]
 			i := len(l)
 			for i > 0 && l[i-1].seq > f.seq {

@@ -193,3 +193,26 @@ func TestCycleSkipLongLatencyLoad(t *testing.T) {
 		t.Error("slice fast path and interface source disagree across cycle skips")
 	}
 }
+
+// TestFastForwardPastBlockedFetchHead runs a cold-cache, memory-bound
+// phase where the window fills behind missing loads and the fetch-buffer
+// head, long since delivered, waits for ROB or queue space. Such a head
+// schedules nothing, so fast-forward must skip to the next wakeup instead
+// of stepping every cycle: here it skips about 90% of the cycles, where
+// stopping at the blocked head skipped 8%. The result must not move by a
+// bit (digest pinned from the stepping simulator).
+func TestFastForwardPastBlockedFetchHead(t *testing.T) {
+	const want = "c1ee1b16321a3835788e8fafa2367fce9aeaa3e54b2c13eb26f29e561c8f732a"
+	insts := mkTrace(t, "mcf", 1, 4000)
+	before := obsFastForward.Value()
+	res := runOn(t, arch.Baseline(), insts, Options{FlushCaches: true})
+	skipped := obsFastForward.Value() - before
+	var c canon
+	c.result(res)
+	if got := c.digest(); got != want {
+		t.Errorf("digest %s, want %s", got, want)
+	}
+	if skipped < res.Cycles/2 {
+		t.Errorf("fast-forwarded %d of %d cycles, want at least half", skipped, res.Cycles)
+	}
+}

@@ -67,11 +67,7 @@ func Figure1(program string, intervalsPerPhase, intervalInsts, warmup int) (*Fig
 func bestValue(insts []trace.Inst, base arch.Config, p arch.Param, warmup int) (int, error) {
 	bestEff, bestV := -1.0, 0
 	for _, v := range arch.Domain(p) {
-		sim, err := cpu.New(base.With(p, v))
-		if err != nil {
-			return 0, err
-		}
-		res, err := sim.Run(cpu.NewSliceSource(insts), len(insts), cpu.Options{WarmupInsts: warmup})
+		res, err := cpu.RunOnce(base.With(p, v), insts, cpu.Options{WarmupInsts: warmup})
 		if err != nil {
 			return 0, err
 		}

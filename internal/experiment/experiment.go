@@ -275,6 +275,9 @@ func WithSearchLimit(n int) Option {
 // was in. Behaviour beyond that is opted into per call — see WithStore,
 // WithSurrogate and WithWarmupCheckpoints.
 func Build(ctx context.Context, sc Scale, opts ...Option) (*Dataset, error) {
+	// The build's simulations recycle each other's memory; what is left
+	// idle at the end is only heap the stages after it would carry.
+	defer cpu.DropIdle()
 	var bo buildOptions
 	for _, opt := range opts {
 		opt(&bo)
@@ -516,12 +519,7 @@ func (e *batchElem) exec(insts []trace.Inst, opts cpu.Options) {
 		e.res, e.captured, e.err = ckptExec(e.cfg, insts, opts, e.snap)
 		return
 	}
-	sim, err := cpu.New(e.cfg)
-	if err != nil {
-		e.err = err
-		return
-	}
-	e.res, e.err = sim.Run(cpu.NewSliceSource(insts), len(insts), opts)
+	e.res, e.err = cpu.RunOnce(e.cfg, insts, opts)
 }
 
 // runBatch evaluates cfgs on one phase in sample mode, with exactly the

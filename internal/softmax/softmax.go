@@ -164,6 +164,14 @@ func (m *Model) Probabilities(x []float64) []float64 {
 // log-likelihood (paper eq. 6-7) with Polak-Ribiere conjugate gradients
 // and a backtracking line search. Training is deterministic.
 func Train(d, k int, examples []Example, opts Options) (*Model, error) {
+	return train(d, k, examples, opts, true)
+}
+
+// train is Train. With reuse, the gradient evaluation after an accepted
+// line-search step takes the run scores and log-partitions the step's
+// evalAt computed from the same weights; without it they are recomputed,
+// which is the reference the reuse is tested against.
+func train(d, k int, examples []Example, opts Options, reuse bool) (*Model, error) {
 	if len(examples) == 0 {
 		return nil, errors.New("softmax: no training examples")
 	}
@@ -193,7 +201,7 @@ func Train(d, k int, examples []Example, opts Options) (*Model, error) {
 	trial := make([]float64, n)
 	ob := newObjective(examples, k, opts.Lambda)
 
-	f := ob.eval(m, grad)
+	f := ob.eval(m.W, grad, true)
 	for i := range dir {
 		dir[i] = -grad[i]
 	}
@@ -219,7 +227,7 @@ func Train(d, k int, examples []Example, opts Options) (*Model, error) {
 			for i := range trial {
 				trial[i] = m.W[i] + step*dir[i]
 			}
-			fNew = ob.evalAt(trial, m)
+			fNew = ob.evalAt(trial)
 			if fNew <= f+1e-4*step*slope {
 				accepted = true
 				break
@@ -232,7 +240,7 @@ func Train(d, k int, examples []Example, opts Options) (*Model, error) {
 		alpha = step
 		copy(m.W, trial)
 		copy(prevGrad, grad)
-		f = ob.eval(m, grad)
+		f = ob.eval(m.W, grad, !reuse)
 
 		// Polak-Ribiere beta with automatic restart.
 		num := 0.0
@@ -265,27 +273,72 @@ func Train(d, k int, examples []Example, opts Options) (*Model, error) {
 // example contributes exactly the float operations, in the same order,
 // that scoring it alone would, so the grouping never changes a bit.
 type objective struct {
-	runs   [][]Example // maximal runs of consecutive examples with element-wise equal X
+	runs   []run
+	k      int
 	lambda float64
-	scores []float64 // K scores of the current run
-	probs  []float64 // K soft-max probabilities of the current run
+	scores []float64 // len(runs)*k: each run's scores at the last scored weights
+	logZ   []float64 // each run's log-partition at those weights
+	probs  []float64 // k soft-max probabilities of the current run
+}
+
+// run is a maximal run of consecutive examples with element-wise equal X:
+// the non-zero entries of that X in feature order, and the examples'
+// labels in example order.
+type run struct {
+	nz []nzFeature
+	ys []int
+}
+
+// nzFeature is one non-zero feature: its weight-row offset i*K and value.
+type nzFeature struct {
+	off int
+	x   float64
 }
 
 func newObjective(examples []Example, k int, lambda float64) *objective {
-	var runs [][]Example
-	start := 0
-	for i := 1; i <= len(examples); i++ {
-		if i == len(examples) || !sameFeatures(examples[i].X, examples[start].X) {
-			runs = append(runs, examples[start:i])
-			start = i
+	// Run r is examples[starts[r]:starts[r+1]]; nnz counts the non-zero
+	// features of the runs' vectors, so the shared slabs below are sized
+	// exactly.
+	var starts []int
+	nnz := 0
+	for i, ex := range examples {
+		if i > 0 && sameFeatures(ex.X, examples[starts[len(starts)-1]].X) {
+			continue
+		}
+		starts = append(starts, i)
+		for _, xj := range ex.X {
+			if xj != 0 {
+				nnz++
+			}
 		}
 	}
-	return &objective{
-		runs:   runs,
+	ys := make([]int, len(examples))
+	for i, ex := range examples {
+		ys[i] = ex.Y
+	}
+	nz := make([]nzFeature, 0, nnz)
+	o := &objective{
+		runs:   make([]run, len(starts)),
+		k:      k,
 		lambda: lambda,
-		scores: make([]float64, k),
+		scores: make([]float64, len(starts)*k),
+		logZ:   make([]float64, len(starts)),
 		probs:  make([]float64, k),
 	}
+	for r, start := range starts {
+		end := len(examples)
+		if r+1 < len(starts) {
+			end = starts[r+1]
+		}
+		n0 := len(nz)
+		for j, xj := range examples[start].X {
+			if xj != 0 {
+				nz = append(nz, nzFeature{off: j * k, x: xj})
+			}
+		}
+		o.runs[r] = run{nz: nz[n0:len(nz):len(nz)], ys: ys[start:end:end]}
+	}
+	return o
 }
 
 // sameFeatures reports whether a and b are element-wise equal.
@@ -301,81 +354,151 @@ func sameFeatures(a, b []float64) bool {
 	return true
 }
 
-// logPartition scores x into o.scores and returns log sum_k exp(score_k),
-// computed stably around the maximum score.
-func (o *objective) logPartition(m *Model, x []float64) float64 {
-	m.Scores(x, o.scores)
+// score computes every run's K scores and log-partition at weights w.
+// Four classes accumulate at a time in registers, each over the run's
+// non-zero features in ascending order: per class exactly the adds
+// Model.Scores makes, in its order, so every score matches it bit for
+// bit.
+func (o *objective) score(w []float64) {
+	k := o.k
+	for r := range o.runs {
+		nz := o.runs[r].nz
+		s := o.scores[r*k : r*k+k]
+		c := 0
+		for ; c+4 <= k; c += 4 {
+			var a0, a1, a2, a3 float64
+			for _, f := range nz {
+				row := w[f.off+c : f.off+c+4]
+				a0 += row[0] * f.x
+				a1 += row[1] * f.x
+				a2 += row[2] * f.x
+				a3 += row[3] * f.x
+			}
+			s[c], s[c+1], s[c+2], s[c+3] = a0, a1, a2, a3
+		}
+		for ; c < k; c++ {
+			var a float64
+			for _, f := range nz {
+				a += w[f.off+c] * f.x
+			}
+			s[c] = a
+		}
+		o.logZ[r] = logSumExp(s)
+	}
+}
+
+// logSumExp returns log sum_k exp(s_k), computed stably around the
+// maximum score.
+func logSumExp(s []float64) float64 {
 	maxS := math.Inf(-1)
-	for _, v := range o.scores {
+	for _, v := range s {
 		if v > maxS {
 			maxS = v
 		}
 	}
-	logZ := 0.0
-	for _, v := range o.scores {
-		logZ += math.Exp(v - maxS)
+	z := 0.0
+	for _, v := range s {
+		z += math.Exp(v - maxS)
 	}
-	return math.Log(logZ) + maxS
+	return math.Log(z) + maxS
 }
 
-// eval returns the loss at m.W and writes its gradient into grad.
-func (o *objective) eval(m *Model, grad []float64) float64 {
-	for i := range grad {
-		grad[i] = 0
+// eval returns the loss at w and writes its gradient into grad. With
+// rescore false it takes the run scores and log-partitions from the last
+// evaluation, which the caller guarantees was at these same weights.
+func (o *objective) eval(w, grad []float64, rescore bool) float64 {
+	if rescore {
+		o.score(w)
 	}
-	k := m.K
+	clear(grad)
+	k := o.k
+	probs := o.probs
 	f := 0.0
-	for _, run := range o.runs {
-		x := run[0].X
-		logZ := o.logPartition(m, x)
-		probs := o.probs
-		for c, v := range o.scores {
+	for r := range o.runs {
+		s := o.scores[r*k : r*k+k]
+		logZ := o.logZ[r]
+		for c, v := range s {
 			probs[c] = math.Exp(v - logZ)
 		}
-		for _, ex := range run {
-			f -= o.scores[ex.Y] - logZ
-			// Gradient of -log-likelihood: (sigma_k - delta_k) * x, one
-			// add per weight with a non-zero coefficient and feature. The
+		for _, y := range o.runs[r].ys {
+			f -= s[y] - logZ
+			// Gradient of -log-likelihood: (sigma_k - delta_k) * x. The
 			// label's probability holds p-1 while this example is added.
-			py := probs[ex.Y]
-			probs[ex.Y] = py - 1
-			for i, xi := range x {
-				if xi == 0 {
-					continue
-				}
-				row := grad[i*k:][:len(probs)]
-				for c, coeff := range probs {
-					if coeff != 0 {
-						row[c] += coeff * xi
-					}
-				}
-			}
-			probs[ex.Y] = py
+			py := probs[y]
+			probs[y] = py - 1
+			addGrad(grad, o.runs[r].nz, probs)
+			probs[y] = py
 		}
 	}
-	for i, w := range m.W {
-		f += o.lambda * w * w
-		grad[i] += 2 * o.lambda * w
+	for i, wi := range w {
+		f += o.lambda * wi * wi
+		grad[i] += 2 * o.lambda * wi
 	}
 	return f
 }
 
-// evalAt returns the loss at weights w without touching m.W and without
-// computing the gradient.
-func (o *objective) evalAt(w []float64, m *Model) float64 {
-	saved := m.W
-	m.W = w
+// addGrad adds coeff[c]*x to grad[off+c] for every non-zero feature and
+// every class whose coefficient is non-zero, four classes at a time with
+// their coefficients in registers. Each element gets at most one add per
+// call, so the order of adds into any element stays the example order.
+func addGrad(grad []float64, nz []nzFeature, coeff []float64) {
+	k := len(coeff)
+	c := 0
+	for ; c+4 <= k; c += 4 {
+		p0, p1, p2, p3 := coeff[c], coeff[c+1], coeff[c+2], coeff[c+3]
+		if p0 != 0 && p1 != 0 && p2 != 0 && p3 != 0 {
+			for _, f := range nz {
+				row := grad[f.off+c : f.off+c+4]
+				row[0] += p0 * f.x
+				row[1] += p1 * f.x
+				row[2] += p2 * f.x
+				row[3] += p3 * f.x
+			}
+			continue
+		}
+		for _, f := range nz {
+			row := grad[f.off+c : f.off+c+4]
+			if p0 != 0 {
+				row[0] += p0 * f.x
+			}
+			if p1 != 0 {
+				row[1] += p1 * f.x
+			}
+			if p2 != 0 {
+				row[2] += p2 * f.x
+			}
+			if p3 != 0 {
+				row[3] += p3 * f.x
+			}
+		}
+	}
+	for ; c < k; c++ {
+		p := coeff[c]
+		if p == 0 {
+			continue
+		}
+		for _, f := range nz {
+			grad[f.off+c] += p * f.x
+		}
+	}
+}
+
+// evalAt returns the loss at weights w without computing the gradient,
+// leaving w's run scores and log-partitions for a following eval.
+func (o *objective) evalAt(w []float64) float64 {
+	o.score(w)
+	k := o.k
 	f := 0.0
-	for _, run := range o.runs {
-		logZ := o.logPartition(m, run[0].X)
-		for _, ex := range run {
-			f -= o.scores[ex.Y] - logZ
+	for r := range o.runs {
+		s := o.scores[r*k : r*k+k]
+		logZ := o.logZ[r]
+		for _, y := range o.runs[r].ys {
+			f -= s[y] - logZ
 		}
 	}
 	for _, wi := range w {
 		f += o.lambda * wi * wi
 	}
-	m.W = saved
 	return f
 }
 

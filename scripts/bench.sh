@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Simulator hot-path benchmark harness: runs the sim-core, cache-model
-# and dataset-build benchmarks, prints a before/after table against the
+# Hot-path benchmark harness: runs the sim-core, cache-model, soft-max
+# training and dataset-build benchmarks, prints a before/after table against the
 # recorded baseline (scripts/bench_baseline.txt) and writes the
 # machine-readable comparison to BENCH_sim.json. See README "Performance".
 #
@@ -20,12 +20,21 @@ raw=$(mktemp /tmp/bench-raw.XXXXXX.txt)
 trap 'rm -f "$raw"' EXIT
 
 echo "== go test -bench, sim core (benchtime $benchtime) =="
-go test -run XXX -bench 'BenchmarkSimRun|BenchmarkSimRunCollect' \
+# SimRun reuses one simulator across iterations; SimFresh pays the
+# per-simulation cost the build pays (RunOnce on a new or recycled
+# simulator, 8000 warmup + 8000 measured instructions).
+go test -run XXX -bench 'BenchmarkSimRun|BenchmarkSimRunCollect|BenchmarkSimFresh' \
     -benchmem -benchtime "$benchtime" ./internal/cpu | tee "$raw"
 
 echo "== go test -bench, cache model (benchtime $benchtime) =="
 go test -run XXX -bench 'BenchmarkCacheAccess|BenchmarkHierarchyAccess|BenchmarkProfilerObserve' \
     -benchmem -benchtime "$benchtime" ./internal/cache | tee -a "$raw"
+
+echo "== go test -bench, soft-max training (benchtime $benchtime) =="
+# One pipeline-shaped LOOCV fold: the fourteen per-parameter trainings on
+# D=437 phase-shaped examples, on one core.
+go test -run XXX -bench 'BenchmarkTrainFold' \
+    -benchmem -benchtime "$benchtime" ./internal/softmax | tee -a "$raw"
 
 echo "== go test -bench, dataset build cold vs warmup-checkpointed (6 builds each) =="
 # End-to-end test-scale dataset builds against a store: cold re-executes

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 verification gate: build, vet, formatting, the full test suite,
-# and the serving subsystem under the race detector (it is the only
-# package with real request-level concurrency). CLAUDE.md points here.
+# the byte-identity tripwires, the concurrent packages under the race
+# detector, and end-to-end smokes. CLAUDE.md points here.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -39,11 +39,14 @@ echo "== build golden (dataset build byte-identity) =="
 # reproduced by the build's fan-out at GOMAXPROCS 1 and 4.
 go test -count=1 -run TestBuildGolden ./internal/experiment
 
-echo "== go test -race internal/experiment =="
+echo "== go test -race internal/experiment internal/cpu internal/cache internal/branch =="
 # Every Build fans its simulations out through internal/par, so each
 # build in the package's tests runs the fan-out under the race detector
-# (procs_test.go pins GOMAXPROCS 1 against 4).
-go test -race ./internal/experiment ./internal/par
+# (procs_test.go pins GOMAXPROCS 1 against 4). Those simulations recycle
+# each other's simulators through cpu.RunOnce: the cpu tests run RunOnce
+# from many goroutines and the golden cases through poisoned recycled
+# simulators.
+go test -race ./internal/experiment ./internal/par ./internal/cpu ./internal/cache ./internal/branch
 
 echo "== go test -race internal/softmax internal/core internal/counters =="
 # Exercises the parallel per-parameter training fan-out and concurrent
