@@ -154,11 +154,12 @@ func main() {
 		die(err)
 	}
 
-	g, err := trace.NewGenerator(*program, 0)
+	// Walk the program's phases in equal shares of the run.
+	perPhase := max(1, *intervals**ivInsts/trace.PhasesPerProgram)
+	src, err := trace.NewPhaseWalker(*program, perPhase)
 	if err != nil {
 		die(err)
 	}
-	src := &phaseWalker{program: *program, gen: g, perPhase: max(1, *intervals/trace.PhasesPerProgram**ivInsts)}
 
 	logger.Info("running controller", "program", *program, "intervals", *intervals, "intervalInsts", *ivInsts)
 	rep, err := ctl.Run(src, *intervals)
@@ -184,8 +185,10 @@ func main() {
 	fmt.Printf("aggregate: %.3e ips, %.1f W, efficiency %.3e ips^3/W\n", rep.IPS, rep.Watts, rep.Efficiency)
 
 	// Static reference: run the same stream on the best static config.
-	g2, _ := trace.NewGenerator(*program, 0)
-	src2 := &phaseWalker{program: *program, gen: g2, perPhase: src.perPhase}
+	src2, err := trace.NewPhaseWalker(*program, perPhase)
+	if err != nil {
+		die(err)
+	}
 	sim, err := cpu.New(bestStatic)
 	if err != nil {
 		die(err)
@@ -198,35 +201,4 @@ func main() {
 	if res.Efficiency > 0 {
 		fmt.Printf("adaptive / static efficiency ratio: %.2fx\n", rep.Efficiency/res.Efficiency)
 	}
-}
-
-// phaseWalker streams a program's phases in order, advancing to the next
-// phase every perPhase instructions, emulating a whole-program run.
-type phaseWalker struct {
-	program  string
-	gen      *trace.Generator
-	perPhase int
-	n        int
-	phase    int
-}
-
-// Next returns the next instruction, switching phases periodically.
-func (w *phaseWalker) Next() trace.Inst {
-	if w.n >= w.perPhase && w.phase < trace.PhasesPerProgram-1 {
-		w.phase++
-		w.n = 0
-		g, err := trace.NewGenerator(w.program, w.phase)
-		if err == nil {
-			w.gen = g
-		}
-	}
-	w.n++
-	return w.gen.Next()
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

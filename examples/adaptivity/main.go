@@ -67,7 +67,11 @@ func main() {
 
 	const program = "equake"
 	const intervals = 12
-	src := newPhaseWalker(program, 4*opts.Interval)
+	perPhase := 4 * opts.Interval
+	src, err := trace.NewPhaseWalker(program, perPhase)
+	if err != nil {
+		log.Fatal(err)
+	}
 	log.Printf("running %s under the adaptive controller...", program)
 	rep, err := ctl.Run(src, intervals)
 	if err != nil {
@@ -86,11 +90,15 @@ func main() {
 	}
 
 	// The static alternative on the identical stream.
+	static, err := trace.NewPhaseWalker(program, perPhase)
+	if err != nil {
+		log.Fatal(err)
+	}
 	sim, err := cpu.New(ds.BestStatic)
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := sim.Run(newPhaseWalker(program, 3*opts.Interval), intervals*opts.Interval, cpu.Options{})
+	res, err := sim.Run(static, intervals*opts.Interval, cpu.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -101,34 +109,4 @@ func main() {
 	if res.Efficiency > 0 {
 		fmt.Printf("ratio:       %.2fx\n", rep.Efficiency/res.Efficiency)
 	}
-}
-
-// phaseWalker streams a program's phases in sequence so the controller
-// sees genuine phase changes.
-type phaseWalker struct {
-	program  string
-	gen      *trace.Generator
-	perPhase int
-	n, phase int
-}
-
-func newPhaseWalker(program string, perPhase int) *phaseWalker {
-	g, err := trace.NewGenerator(program, 0)
-	if err != nil {
-		log.Fatal(err)
-	}
-	return &phaseWalker{program: program, gen: g, perPhase: perPhase}
-}
-
-// Next returns the next instruction, advancing phases periodically.
-func (w *phaseWalker) Next() trace.Inst {
-	if w.n >= w.perPhase && w.phase < trace.PhasesPerProgram-1 {
-		w.phase++
-		w.n = 0
-		if g, err := trace.NewGenerator(w.program, w.phase); err == nil {
-			w.gen = g
-		}
-	}
-	w.n++
-	return w.gen.Next()
 }

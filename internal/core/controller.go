@@ -159,16 +159,22 @@ func (c *Controller) simFor(cfg arch.Config) (*cpu.Sim, error) {
 // Run executes nIntervals monitoring intervals from src and returns the
 // report. The first interval always profiles (the machine knows nothing
 // about the incoming program).
+//
+// src is read on another goroutine, an interval or two ahead of the
+// simulation (cpu.ReadAhead): exactly nIntervals×Interval Next calls when
+// the run succeeds, none of them after Run returns. It must not be used
+// elsewhere during the call.
 func (c *Controller) Run(src cpu.Source, nIntervals int) (*Report, error) {
 	if nIntervals <= 0 {
 		return nil, fmt.Errorf("core: interval count %d must be positive", nIntervals)
 	}
 	rep := &Report{}
-	insts := make([]trace.Inst, c.opts.Interval)
+	ra := cpu.NewReadAhead(src, nIntervals*c.opts.Interval, c.opts.Interval)
+	defer ra.Close()
 	for iv := 0; iv < nIntervals; iv++ {
-		// Stage 1: monitor. Pull the interval and update the detector.
+		// Stage 1: monitor. Take the interval and update the detector.
+		insts := ra.Next()
 		for i := range insts {
-			insts[i] = src.Next()
 			c.det.Observe(insts[i])
 		}
 		changed := c.det.EndInterval()

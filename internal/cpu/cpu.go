@@ -32,7 +32,8 @@ import (
 )
 
 // Source supplies the dynamic instruction stream. trace.Generator
-// implements it.
+// implements it. Run reads any Source but a *SliceSource through a
+// ReadAhead, so Next is called on another goroutine.
 type Source interface {
 	Next() trace.Inst
 }
@@ -269,7 +270,7 @@ func DropIdle() {
 // used again.
 func (s *Sim) recycle() {
 	if st := s.scratch; st != nil {
-		st.srcFast, st.cnt, st.res = nil, nil, Result{}
+		st.src, st.cnt, st.res = feed{}, nil, Result{}
 	}
 	s.pm = nil
 	idle.Lock()

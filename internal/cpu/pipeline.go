@@ -106,11 +106,8 @@ type runState struct {
 	// against it.
 	windowGen uint64
 
-	// Slice fast path: when the Source is a *SliceSource its contents are
-	// mirrored here so fetch indexes the slice directly instead of making
-	// an interface call per instruction.
-	srcFast []trace.Inst
-	srcPos  int
+	// src is the chunk of the correct-path stream fetch is reading.
+	src feed
 
 	acc power.Account
 	res Result
@@ -168,8 +165,7 @@ func (s *Sim) getState() *runState {
 	st.wpCount, st.wpPos = 0, 0
 	st.fetchedCorrect = 0
 	st.windowGen = 0
-	st.srcFast = nil
-	st.srcPos = 0
+	st.src = feed{}
 	st.acc = power.Account{}
 	st.res = Result{}
 	st.cnt = nil
@@ -178,13 +174,59 @@ func (s *Sim) getState() *runState {
 
 var errCycleLimit = errors.New("cpu: cycle limit exceeded (pipeline deadlock?)")
 
+// readAheadChunk is how many instructions Run pulls from a generic
+// Source per read-ahead chunk.
+const readAheadChunk = 4096
+
+// feed is Run's view of its Source: the chunk fetch is reading and its
+// position in it. A SliceSource's chunk is its whole slice, read again
+// from the start once fetch reaches the end; any other Source is pulled
+// through a ReadAhead, whose next chunk replaces the finished one.
+type feed struct {
+	buf []trace.Inst
+	pos int
+	ra  *ReadAhead
+}
+
+// refill moves fetch on to the next chunk once it has read this one.
+func (f *feed) refill() {
+	if f.ra != nil {
+		f.buf = f.ra.Next()
+	}
+	f.pos = 0
+}
+
 // Run simulates n correct-path instructions from src under opts and
 // returns the result. The simulation ends when all n instructions have
 // committed and the pipeline has drained.
+//
+// A *SliceSource is read in place and left positioned after the last
+// instruction taken. Any other Source is read on another goroutine,
+// ahead of the simulation (ReadAhead): exactly WarmupInsts+n Next calls
+// when the run succeeds, none of them after Run returns. It must not be
+// used elsewhere during the call.
 func (s *Sim) Run(src Source, n int, opts Options) (*Result, error) {
 	if n <= 0 {
 		return nil, errors.New("cpu: instruction count must be positive")
 	}
+	var f feed
+	ss, slice := src.(*SliceSource)
+	if slice {
+		f.buf, f.pos = ss.insts, ss.pos
+	} else {
+		f.ra = NewReadAhead(src, n+max(opts.WarmupInsts, 0), readAheadChunk)
+		defer f.ra.Close()
+	}
+	res, err := s.run(&f, n, opts)
+	if slice {
+		ss.pos = f.pos % len(f.buf)
+	}
+	return res, err
+}
+
+// run is Run over a feed, which carries the stream position from the
+// warmup prefix into the measured part.
+func (s *Sim) run(f *feed, n int, opts Options) (*Result, error) {
 	if opts.WarmupInsts > 0 {
 		warm := opts
 		warm.WarmupInsts = 0
@@ -192,7 +234,7 @@ func (s *Sim) Run(src Source, n int, opts Options) (*Result, error) {
 		warm.StartStall = 0
 		warm.FlushCaches = opts.FlushCaches
 		warm.ExtraEnergyPJ = 0
-		wres, err := s.Run(src, opts.WarmupInsts, warm)
+		wres, err := s.run(f, opts.WarmupInsts, warm)
 		if err != nil {
 			return nil, err
 		}
@@ -219,53 +261,11 @@ func (s *Sim) Run(src Source, n int, opts Options) (*Result, error) {
 	if opts.ExtraEnergyPJ > 0 {
 		st.acc.Add(power.StructClock, opts.ExtraEnergyPJ)
 	}
-	ss, fast := src.(*SliceSource)
-	if fast {
-		st.srcFast = ss.insts
-		st.srcPos = ss.pos
-	}
-
-	target := uint64(n)
-	limit := uint64(n)*maxCyclesPerInst + 100_000
-	for {
-		st.cycle++
-		if st.cycle > limit {
-			if fast {
-				ss.pos = st.srcPos
-			}
-			return nil, errCycleLimit
-		}
-		cProg := s.commit(st)
-		iProg, readyBlocked := s.issueAndWake(st)
-		dProg := s.dispatch(st)
-		fProg := s.fetch(st, src, target)
-
-		// Per-cycle energy: clock tree plus the conditional-clocking floor.
-		st.acc.Add(power.StructClock, s.perCycPJ)
-		if st.cnt != nil {
-			st.cnt.perCycle(s, st)
-		}
-		// Expire the write-port slot for the cycle that just passed; it is
-		// not needed again until the ring wraps, far beyond any latency.
-		st.wbUsed[st.cycle%wbWindow] = 0
-
-		if st.res.Committed >= target && st.robCount == 0 && st.fbLen() == 0 && !st.stashValid {
-			break
-		}
-		if !(cProg || iProg || dProg || fProg || readyBlocked) {
-			// No stage moved and nothing is ready-but-resource-blocked:
-			// every future unblock is a scheduled event, so the clock can
-			// fast-forward through the dead cycles.
-			if err := s.fastForward(st, limit); err != nil {
-				if fast {
-					ss.pos = st.srcPos
-				}
-				return nil, err
-			}
-		}
-	}
-	if fast {
-		ss.pos = st.srcPos
+	st.src = *f
+	err := s.cycles(st, uint64(n))
+	*f = st.src
+	if err != nil {
+		return nil, err
 	}
 
 	st.res.Config = s.cfg
@@ -289,6 +289,43 @@ func (s *Sim) Run(src Source, n int, opts Options) (*Result, error) {
 	obsCycles.Add(st.res.Cycles)
 	out := st.res
 	return &out, nil
+}
+
+// cycles steps the pipeline until target correct-path instructions have
+// committed and it has drained.
+func (s *Sim) cycles(st *runState, target uint64) error {
+	limit := target*maxCyclesPerInst + 100_000
+	for {
+		st.cycle++
+		if st.cycle > limit {
+			return errCycleLimit
+		}
+		cProg := s.commit(st)
+		iProg, readyBlocked := s.issueAndWake(st)
+		dProg := s.dispatch(st)
+		fProg := s.fetch(st, target)
+
+		// Per-cycle energy: clock tree plus the conditional-clocking floor.
+		st.acc.Add(power.StructClock, s.perCycPJ)
+		if st.cnt != nil {
+			st.cnt.perCycle(s, st)
+		}
+		// Expire the write-port slot for the cycle that just passed; it is
+		// not needed again until the ring wraps, far beyond any latency.
+		st.wbUsed[st.cycle%wbWindow] = 0
+
+		if st.res.Committed >= target && st.robCount == 0 && st.fbLen() == 0 && !st.stashValid {
+			return nil
+		}
+		if !(cProg || iProg || dProg || fProg || readyBlocked) {
+			// No stage moved and nothing is ready-but-resource-blocked:
+			// every future unblock is a scheduled event, so the clock can
+			// fast-forward through the dead cycles.
+			if err := s.fastForward(st, limit); err != nil {
+				return err
+			}
+		}
+	}
 }
 
 // fastForward advances the clock through cycles in which no stage can make
@@ -809,7 +846,7 @@ func (st *runState) pushFetch(f fetchedInst) {
 // fetch brings up to Width instructions into the fetch buffer, consulting
 // the I-cache and the branch predictor, honouring the in-flight branch
 // limit and injecting wrong-path instructions after a misprediction.
-func (s *Sim) fetch(st *runState, src Source, target uint64) bool {
+func (s *Sim) fetch(st *runState, target uint64) bool {
 	if st.cycle < st.fetchStallUntil {
 		return false
 	}
@@ -829,15 +866,11 @@ func (s *Sim) fetch(st *runState, src Source, target uint64) bool {
 			in = st.stash
 			st.stashValid = false
 		case st.fetchedCorrect < target:
-			if st.srcFast != nil {
-				in = st.srcFast[st.srcPos]
-				st.srcPos++
-				if st.srcPos == len(st.srcFast) {
-					st.srcPos = 0
-				}
-			} else {
-				in = src.Next()
+			if st.src.pos == len(st.src.buf) {
+				st.src.refill()
 			}
+			in = st.src.buf[st.src.pos]
+			st.src.pos++
 			st.fetchedCorrect++
 		default:
 			return prog // trace exhausted; drain

@@ -157,12 +157,17 @@ type Generator struct {
 	program string
 	phase   int
 	spec    phaseSpec
-	rng     *rand.Rand
-	states  []kernelState
+	// pcg is the stream's one random source. The hot Float64 draws read
+	// it directly (float64 below); the rare integer draws go through rng,
+	// which wraps the same PCG, so both consume one sequence in order.
+	pcg    *rand.PCG
+	rng    *rand.Rand
+	states []kernelState
 
 	kernel     int       // current kernel index
 	burstLeft  int       // instructions left in the current kernel burst
 	mixTotals  []float64 // per-kernel Mix weight sums, hoisted out of drawOp
+	srcStop    []uint64  // per-kernel pickSrc threshold on a 53-bit draw
 	recentDst  [32]int8  // ring of recent destination registers
 	recentHead int
 	emitted    uint64
@@ -184,23 +189,31 @@ func NewGenerator(program string, phase int) (*Generator, error) {
 	if err != nil {
 		return nil, err
 	}
+	pcg := rand.NewPCG(hashString(program), uint64(phase)*0x9e3779b97f4a7c15+1)
 	g := &Generator{
 		program: program,
 		phase:   phase,
 		spec:    spec,
-		rng:     rand.New(rand.NewPCG(hashString(program), uint64(phase)*0x9e3779b97f4a7c15+1)),
+		pcg:     pcg,
+		rng:     rand.New(pcg),
 	}
 	g.states = make([]kernelState, len(spec.kernels))
 	// Hoist the mix-weight totals out of the per-instruction draw. The
 	// summation order matches the original in-loop accumulation, so the
 	// totals (and every drawn op) are bit-identical.
 	g.mixTotals = make([]float64, len(spec.kernels))
+	g.srcStop = make([]uint64, len(spec.kernels))
 	for i := range spec.kernels {
 		total := 0.0
 		for _, w := range spec.kernels[i].Mix {
 			total += w
 		}
 		g.mixTotals[i] = total
+		// pickSrc's geometric step continues while a draw u/2^53 exceeds
+		// p = 1/DepDist. Both sides scale exactly by 2^53 and u is an
+		// integer, so the test is u > floor(p·2^53): the same comparison
+		// in integers. resolvePhase keeps DepDist ≥ 1.2, so p < 1.
+		g.srcStop[i] = uint64(1.0 / spec.kernels[i].DepDist * (1 << 53))
 	}
 	var code uint32 = 0x0040_0000
 	var data uint32 = 0x1000_0000
@@ -243,6 +256,10 @@ func (g *Generator) blockStart(k *Kernel, st *kernelState, i uint32) uint32 {
 	return st.codeBase + i*k.blockSlot()
 }
 
+// float64 returns rand.Rand.Float64 of the stream's PCG, by the same
+// formula, without the call through the rand.Source interface.
+func (g *Generator) float64() float64 { return float64(g.pcg.Uint64()<<11>>11) / (1 << 53) }
+
 // Next returns the next instruction in the stream.
 func (g *Generator) Next() Inst {
 	if g.burstLeft <= 0 {
@@ -275,20 +292,20 @@ func (g *Generator) Next() Inst {
 		if k.Pattern == PatternChase && st.chaseReg >= 0 {
 			in.Src1 = st.chaseReg // serialised dependent load
 		} else {
-			in.Src1 = g.pickSrc(k)
+			in.Src1 = g.pickSrc()
 		}
 		if k.Pattern == PatternChase {
 			st.chaseReg = in.Dst
 		}
 	case Store:
 		in.Addr = g.dataAddr(k, st)
-		in.Src1 = g.pickSrc(k) // data
-		in.Src2 = g.pickSrc(k) // address base
+		in.Src1 = g.pickSrc() // data
+		in.Src2 = g.pickSrc() // address base
 	default:
 		in.Dst = g.pickDst(k)
-		in.Src1 = g.pickSrc(k)
-		if g.rng.Float64() < 0.72 {
-			in.Src2 = g.pickSrc(k)
+		in.Src1 = g.pickSrc()
+		if g.float64() < 0.72 {
+			in.Src2 = g.pickSrc()
 		}
 	}
 	if in.Dst >= 0 {
@@ -309,19 +326,19 @@ func (g *Generator) emitBranch(k *Kernel, st *kernelState) Inst {
 		BB:   st.bbBase + st.blockIdx,
 		Op:   Branch,
 		Dst:  -1,
-		Src1: g.pickSrc(k),
+		Src1: g.pickSrc(),
 		Src2: -1,
 	}
 
 	st.loopCount++
 	nextBlock := st.blockIdx
-	patterned := g.rng.Float64() < k.Predictability
+	patterned := g.float64() < k.Predictability
 	stay := st.loopCount%k.LoopPeriod != 0
-	if patterned && stay && g.rng.Float64() > k.TakenBias {
+	if patterned && stay && g.float64() > k.TakenBias {
 		stay = false // irregular early exit
 	}
 	if !patterned {
-		stay = g.rng.Float64() < 0.5 // genuinely data-dependent branch
+		stay = g.float64() < 0.5 // genuinely data-dependent branch
 	}
 	if stay {
 		in.Taken = true
@@ -351,7 +368,7 @@ func (g *Generator) emitBranch(k *Kernel, st *kernelState) Inst {
 
 // drawOp samples a non-branch op class from the kernel mix.
 func (g *Generator) drawOp(k *Kernel) OpClass {
-	x := g.rng.Float64() * g.mixTotals[g.kernel]
+	x := g.float64() * g.mixTotals[g.kernel]
 	for c, w := range k.Mix {
 		if x < w {
 			return OpClass(c)
@@ -365,7 +382,7 @@ func (g *Generator) drawOp(k *Kernel) OpClass {
 // dominant datatype.
 func (g *Generator) pickDst(k *Kernel) int8 {
 	fp := k.Mix[FpALU]+k.Mix[FpMul] > k.Mix[IntALU]+k.Mix[IntMul]
-	if fp && g.rng.Float64() < 0.8 {
+	if fp && g.float64() < 0.8 {
 		return int8(NumIntRegs + g.rng.IntN(NumFpRegs))
 	}
 	return int8(g.rng.IntN(NumIntRegs))
@@ -374,14 +391,15 @@ func (g *Generator) pickDst(k *Kernel) int8 {
 // pickSrc chooses a source register: usually a recently written register at
 // a geometric backward distance controlled by DepDist (small distance =
 // long dependency chains = low ILP).
-func (g *Generator) pickSrc(k *Kernel) int8 {
+func (g *Generator) pickSrc() int8 {
 	if g.recentHead == 0 {
 		return int8(g.rng.IntN(NumIntRegs))
 	}
-	// Geometric distance with mean DepDist, capped by ring size.
-	p := 1.0 / k.DepDist
+	// Geometric distance with mean DepDist, capped by ring size: the
+	// step continues while the draw exceeds 1/DepDist (see srcStop).
+	stop := g.srcStop[g.kernel]
 	d := 1
-	for d < 32 && g.rng.Float64() > p {
+	for d < 32 && g.pcg.Uint64()<<11>>11 > stop {
 		d++
 	}
 	if d > g.recentHead {
@@ -411,7 +429,7 @@ func (g *Generator) dataAddr(k *Kernel, st *kernelState) uint32 {
 		st.chasePtr = st.chasePtr*2654435761 + 12345
 		return st.dataBase + (st.chasePtr%ws)&^7
 	default: // PatternMixed
-		if g.rng.Float64() < 0.5 {
+		if g.float64() < 0.5 {
 			// Strided walk over a sliding window (a compressor's dictionary,
 			// a solver's current tile) that drifts slowly through the
 			// working set.
@@ -437,7 +455,7 @@ func (g *Generator) dataAddr(k *Kernel, st *kernelState) uint32 {
 // signal the cache counters rely on.
 func (g *Generator) skewedOffset(ws uint32) uint32 {
 	span := ws
-	if g.rng.Float64() < 0.93 {
+	if g.float64() < 0.93 {
 		span = ws/8 + 256
 		if span > ws {
 			span = ws
@@ -448,7 +466,7 @@ func (g *Generator) skewedOffset(ws uint32) uint32 {
 
 // pickKernel starts a new kernel burst according to the phase mixture.
 func (g *Generator) pickKernel() {
-	x := g.rng.Float64()
+	x := g.float64()
 	g.kernel = len(g.spec.weights) - 1
 	for i, w := range g.spec.weights {
 		if x < w {

@@ -273,3 +273,34 @@ func TestMeasureSeparatesFootprints(t *testing.T) {
 		t.Errorf("gcc code footprint %.0fKB not above lucas %.0fKB", gccC, lucasC)
 	}
 }
+
+func TestPhaseWalkerSwitchesEveryPerPhase(t *testing.T) {
+	// The walk is phase 0's stream for exactly perPhase instructions, then
+	// phase 1's from its start, and so on; the last phase runs on.
+	const perPhase = 7
+	w, err := NewPhaseWalker("gzip", perPhase)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ph := 0; ph < PhasesPerProgram; ph++ {
+		g, err := NewGenerator("gzip", ph)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := perPhase
+		if ph == PhasesPerProgram-1 {
+			n = 3 * perPhase
+		}
+		for i := 0; i < n; i++ {
+			if got, want := w.Next(), g.Next(); got != want {
+				t.Fatalf("phase %d instruction %d: walk gave %+v, phase stream %+v", ph, i, got, want)
+			}
+		}
+	}
+	if _, err := NewPhaseWalker("gzip", 0); err == nil {
+		t.Error("zero phase length accepted")
+	}
+	if _, err := NewPhaseWalker("notabenchmark", 10); err == nil {
+		t.Error("unknown program accepted")
+	}
+}

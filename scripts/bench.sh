@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Hot-path benchmark harness: runs the sim-core, cache-model, soft-max
-# training and dataset-build benchmarks, prints a before/after table against the
-# recorded baseline (scripts/bench_baseline.txt) and writes the
-# machine-readable comparison to BENCH_sim.json. See README "Performance".
+# Hot-path benchmark harness: runs the sim-core, trace-generator,
+# controller, cache-model, soft-max training and dataset-build
+# benchmarks, prints a before/after table against the recorded baseline
+# (scripts/bench_baseline.txt) and writes the machine-readable
+# comparison to BENCH_sim.json. See README "Performance".
 #
 #   scripts/bench.sh                  # ~1 min
 #   BENCHTIME=2s scripts/bench.sh     # longer, steadier runs
@@ -25,6 +26,16 @@ echo "== go test -bench, sim core (benchtime $benchtime) =="
 # simulator, 8000 warmup + 8000 measured instructions).
 go test -run XXX -bench 'BenchmarkSimRun|BenchmarkSimRunCollect|BenchmarkSimFresh' \
     -benchmem -benchtime "$benchtime" ./internal/cpu | tee "$raw"
+
+echo "== go test -bench, instruction supply and runtime controller (benchtime $benchtime) =="
+# GeneratorNext times trace generation over the held-out programs'
+# phases; ControllerRun a generator-fed core.Controller.Run (read-ahead
+# supply, phase detection, profiling, interval simulations). Both report
+# ns/inst and have no recorded baseline row yet.
+go test -run XXX -bench 'BenchmarkGeneratorNext' \
+    -benchmem -benchtime "$benchtime" ./internal/trace | tee -a "$raw"
+go test -run XXX -bench 'BenchmarkControllerRun' \
+    -benchmem -benchtime "$benchtime" ./internal/core | tee -a "$raw"
 
 echo "== go test -bench, cache model (benchtime $benchtime) =="
 go test -run XXX -bench 'BenchmarkCacheAccess|BenchmarkHierarchyAccess|BenchmarkProfilerObserve' \

@@ -39,18 +39,27 @@ echo "== build golden (dataset build byte-identity) =="
 # reproduced by the build's fan-out at GOMAXPROCS 1 and 4.
 go test -count=1 -run TestBuildGolden ./internal/experiment
 
-echo "== go test -race internal/experiment internal/cpu internal/cache internal/branch =="
+echo "== stream golden (trace generator byte-identity) =="
+# The same tripwire for the instruction streams every simulation runs:
+# the first 50k instructions of every program/phase generator, pinned.
+go test -count=1 -run TestStreamGolden ./internal/trace
+
+echo "== go test -race internal/experiment internal/cpu internal/cache internal/branch internal/trace internal/phase =="
 # Every Build fans its simulations out through internal/par, so each
 # build in the package's tests runs the fan-out under the race detector
 # (procs_test.go pins GOMAXPROCS 1 against 4). Those simulations recycle
 # each other's simulators through cpu.RunOnce: the cpu tests run RunOnce
 # from many goroutines and the golden cases through poisoned recycled
-# simulators.
-go test -race ./internal/experiment ./internal/par ./internal/cpu ./internal/cache ./internal/branch
+# simulators. A Source-fed Sim.Run reads its Source on a cpu.ReadAhead
+# goroutine, which the cpu tests drive with generators (internal/trace)
+# and the core tests below with the phase detector (internal/phase) on
+# the consuming side.
+go test -race ./internal/experiment ./internal/par ./internal/cpu ./internal/cache ./internal/branch ./internal/trace ./internal/phase
 
 echo "== go test -race internal/softmax internal/core internal/counters =="
-# Exercises the parallel per-parameter training fan-out and concurrent
-# counters.Dim calls under the race detector.
+# Exercises the parallel per-parameter training fan-out, concurrent
+# counters.Dim calls and Controller.Run's read-ahead under the race
+# detector.
 go test -race ./internal/softmax ./internal/core ./internal/counters
 
 echo "== go test -race internal/serve =="
