@@ -51,9 +51,6 @@
 //	       [-loadgen-arrivals poisson|pareto] [-loadgen-zipf S]
 //	       [-loadgen-mix interactive=0.7,batch=0.2,background=0.1]
 //
-// (-batch and -seed remain as deprecated aliases for -loadgen-batch and
-// -loadgen-seed.)
-//
 // With -cache-dir, first-boot training runs against the persistent
 // simulation-result store (internal/store): a boot interrupted by SIGINT
 // mid-dataset resumes from the store on the next boot instead of
@@ -129,13 +126,9 @@ func main() {
 		shadowPath = flag.String("shadow", "", "load this model file as a shadow: evaluated on duplicated traffic off the request path")
 		shadowQ    = flag.Int("shadow-queue", 1024, "shadow duplication queue length (overflow drops duplicates)")
 		manifest   = flag.String("manifest", "", "write a run manifest to this file; defaults to manifest-adaptd.json under -cache-dir")
+		lgBatch    = flag.Int("loadgen-batch", 1, "loadgen: feature vectors per request (>= 2 uses the batch payload)")
+		lgSeed     = flag.Uint64("loadgen-seed", 1, "loadgen schedule seed")
 	)
-	var lgBatch int
-	flag.IntVar(&lgBatch, "loadgen-batch", 1, "loadgen: feature vectors per request (>= 2 uses the batch payload)")
-	flag.IntVar(&lgBatch, "batch", 1, "deprecated alias for -loadgen-batch")
-	var lgSeed uint64
-	flag.Uint64Var(&lgSeed, "loadgen-seed", 1, "loadgen schedule seed")
-	flag.Uint64Var(&lgSeed, "seed", 1, "deprecated alias for -loadgen-seed")
 	admitRates := map[serve.Class]serve.ClassPolicy{}
 	flag.Func("admission-rate", "admission token bucket as class=RATE[:BURST], repeatable (implies -admission)", func(v string) error {
 		class, pol, err := parseRate(v)
@@ -268,9 +261,9 @@ func main() {
 		lg := serve.LoadGen{
 			Requests:    *lgRequests,
 			Concurrency: *lgConc,
-			Seed:        lgSeed,
-			Pool:        serve.SyntheticFeatures(eng.Dim(), *lgPool, lgSeed),
-			Batch:       lgBatch,
+			Seed:        *lgSeed,
+			Pool:        serve.SyntheticFeatures(eng.Dim(), *lgPool, *lgSeed),
+			Batch:       *lgBatch,
 			Mode:        *lgMode,
 			RPS:         *rps,
 			Arrivals:    *lgArrivals,

@@ -13,7 +13,10 @@
 // With -cache-dir, the training dataset is built against the persistent
 // simulation-result store (internal/store), so repeated adaptsim runs —
 // even for different -program values, which train on overlapping
-// benchmark subsets — reuse each other's simulations.
+// benchmark subsets — reuse each other's simulations. With -model-cache,
+// the first run saves the trained predictor together with its training
+// dataset's best static configuration, and later runs load both, so a
+// cached rerun prints exactly what the training run printed.
 package main
 
 import (
@@ -72,12 +75,12 @@ func main() {
 	}
 	sc.Programs = progs
 	var pred *core.Predictor
-	var bestStatic = arch.Baseline()
+	var bestStatic arch.Config
 	if *modelPath != "" {
 		f, err := os.Open(*modelPath)
 		switch {
 		case err == nil:
-			pred, err = core.LoadPredictor(f)
+			pred, bestStatic, err = readModelCache(f)
 			f.Close()
 			if err != nil {
 				die(fmt.Errorf("loading cached model %s: %w (delete it to retrain)", *modelPath, err))
@@ -89,7 +92,7 @@ func main() {
 				die(fmt.Errorf("cached model %s was trained on the %q counter set but -counter-set is %q; delete the cache or pass -counter-set %s",
 					*modelPath, pred.Set, set, pred.Set))
 			}
-			logger.Info("loaded trained predictor", "path", *modelPath)
+			logger.Info("loaded trained predictor", "path", *modelPath, "bestStatic", bestStatic.String())
 		case !errors.Is(err, os.ErrNotExist):
 			die(fmt.Errorf("opening model cache %s: %w", *modelPath, err))
 		}
@@ -130,10 +133,12 @@ func main() {
 			if err != nil {
 				die(err)
 			}
-			if err := pred.Save(f); err != nil {
+			if err := writeModelCache(f, pred, bestStatic); err != nil {
 				die(err)
 			}
-			f.Close()
+			if err := f.Close(); err != nil {
+				die(err)
+			}
 			logger.Info("saved trained predictor", "path", *modelPath)
 		}
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/gob"
+	"strings"
 	"testing"
 
 	"repro/internal/arch"
@@ -22,28 +23,11 @@ func TestSaveWritesVersionedHeader(t *testing.T) {
 	if b[4] != wireVersion {
 		t.Errorf("format version byte = %d, want %d", b[4], wireVersion)
 	}
-}
-
-func TestLoadPredictorLegacyBareGob(t *testing.T) {
-	// Files written before the header existed are bare gob; they must
-	// still load.
-	pred := trainToyPredictor(t, counters.Basic)
-	wire := predictorWire{Set: int(pred.Set)}
-	for _, m := range pred.Models {
-		wire.Dims = append(wire.Dims, m.D)
-		wire.Ks = append(wire.Ks, m.K)
-		wire.Floats = append(wire.Floats, m.W)
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(wire); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadPredictor(&buf)
-	if err != nil {
-		t.Fatalf("legacy bare-gob predictor rejected: %v", err)
-	}
-	if loaded.Set != pred.Set {
-		t.Errorf("set mismatch: %v vs %v", loaded.Set, pred.Set)
+	// The same bytes without the header (a bare gob payload, the format
+	// before the header existed) are not a predictor file.
+	_, err := LoadPredictor(bytes.NewReader(b[5:]))
+	if err == nil || !strings.Contains(err.Error(), "not a predictor file") {
+		t.Fatalf("headerless predictor: err = %v, want a \"not a predictor file\" refusal", err)
 	}
 }
 

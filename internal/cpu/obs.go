@@ -15,9 +15,7 @@ var (
 	obsFastForward = obs.DefaultRegistry().Counter("repro_sim_fastforward_cycles_total",
 		"Cycles skipped by fast-forward instead of stepped, across all runs.")
 	obsWarmupInsts = obs.DefaultRegistry().Counter("repro_warmup_insts",
-		"Warmup instructions actually executed (not restored from a checkpoint).")
-	obsWarmupRestores = obs.DefaultRegistry().Counter("repro_warmup_restores",
-		"Warmup prefixes restored from a snapshot instead of re-executed.")
+		"Warmup-prefix instructions executed before measurement, across all runs.")
 )
 
 // SimulatedInstructions returns the process-wide committed-instruction
@@ -27,11 +25,8 @@ var (
 func SimulatedInstructions() uint64 { return obsInsts.Value() }
 
 // WarmupInstructions returns the process-wide count of warmup
-// instructions actually executed; WarmupRestores counts warmup prefixes
-// restored from a snapshot instead. Both land in the run manifest's
-// timing section (they depend on snapshot-store warm state) and nothing
-// may feed them back into simulation or search decisions.
+// instructions executed. It lands in the run manifest's timing section
+// (a warm store replays results without simulating, so it depends on
+// store warm state) and nothing may feed it back into simulation or
+// search decisions.
 func WarmupInstructions() uint64 { return obsWarmupInsts.Value() }
-
-// WarmupRestores returns the process-wide count of snapshot restores.
-func WarmupRestores() uint64 { return obsWarmupRestores.Value() }

@@ -207,11 +207,6 @@ type Dataset struct {
 	// plain build.
 	sur *surrogateState
 
-	// ckpt, when non-nil, is the warmup-checkpoint state (see
-	// WithWarmupCheckpoints in ckpt.go). nil keeps every code path
-	// byte-identical to the plain build.
-	ckpt *ckptState
-
 	// inSearch marks the three-stage search window of Build; exact
 	// in-sample simulations inside it are the search budget the
 	// repro_sims_exact counter (and the surrogate's >=2x claim) measures.
@@ -230,7 +225,6 @@ type buildOptions struct {
 	store       *store.Store
 	surrogate   *surrogate.Config
 	searchLimit int
-	warmCkpt    bool
 }
 
 // WithStore attaches a persistent result store to the build (nil is
@@ -272,8 +266,8 @@ func WithSearchLimit(n int) Option {
 // simulation (the granularity keeps a SIGINT during adaptd's first-boot
 // training prompt without threading ctx into the simulator's inner
 // loop); a cancelled build returns ctx.Err() wrapped with the stage it
-// was in. Behaviour beyond that is opted into per call — see WithStore,
-// WithSurrogate and WithWarmupCheckpoints.
+// was in. Behaviour beyond that is opted into per call — see WithStore
+// and WithSurrogate.
 func Build(ctx context.Context, sc Scale, opts ...Option) (*Dataset, error) {
 	// The build's simulations recycle each other's memory; what is left
 	// idle at the end is only heap the stages after it would carry.
@@ -296,9 +290,6 @@ func Build(ctx context.Context, sc Scale, opts ...Option) (*Dataset, error) {
 	}
 	if bo.surrogate != nil {
 		ds.sur = newSurrogateState(*bo.surrogate, sc.Seed)
-	}
-	if bo.warmCkpt {
-		ds.ckpt = &ckptState{cache: map[store.Key][]byte{}}
 	}
 
 	tr := obs.DefaultTracer()
@@ -366,10 +357,7 @@ func Build(ctx context.Context, sc Scale, opts ...Option) (*Dataset, error) {
 
 	// Profile every phase on the profiling configuration. Profiling runs
 	// are pure — never memoised, never stored — so they fan out as-is;
-	// spans, assignments and progress land in phase order afterwards. With
-	// checkpoints on, snapshot fetches happen before the fan-out and
-	// captured snapshots are committed by the ordered loop: the snapshot
-	// cache and sidecar are only ever touched from sequential code.
+	// spans, assignments and progress land in phase order afterwards.
 	sp = tr.Start("profile")
 	profOpts := cpu.Options{
 		Collect:     true,
@@ -377,8 +365,8 @@ func Build(ctx context.Context, sc Scale, opts ...Option) (*Dataset, error) {
 		WarmupInsts: sc.WarmupInsts,
 	}
 	prof := make([]batchElem, len(ds.Phases))
-	for i, id := range ds.Phases {
-		prof[i] = ds.newSim(id, arch.Profiling(), ds.traces[id], profOpts)
+	for i := range prof {
+		prof[i].cfg = arch.Profiling()
 	}
 	err := par.Each(ctx, len(ds.Phases), func(i int) {
 		prof[i].exec(ds.traces[ds.Phases[i]], profOpts)
@@ -390,14 +378,10 @@ func Build(ctx context.Context, sc Scale, opts ...Option) (*Dataset, error) {
 	for i, id := range ds.Phases {
 		psp := tr.Start("profile " + id.String())
 		e := &prof[i]
-		err := e.err
-		if err == nil {
-			err = ds.ckptCommit(e.skey, e.captured)
-		}
-		if err != nil {
+		if e.err != nil {
 			psp.Finish()
 			sp.Finish()
-			return nil, fmt.Errorf("experiment: profiling %s: %w", id, err)
+			return nil, fmt.Errorf("experiment: profiling %s: %w", id, e.err)
 		}
 		psp.Finish()
 		obsSims.Inc()
@@ -486,39 +470,13 @@ type batchElem struct {
 	res  *cpu.Result
 	err  error
 	kind uint8 // 0 memo hit, 1 store hit, 2 simulate
-
-	// Warmup-checkpoint state for kind-2 elems when checkpointing is on
-	// (ck). snap is the known snapshot prefetched at classification time
-	// (nil runs the warmup); captured is the snapshot that warmup
-	// produced, handed back for the ordered side-effect loop to commit.
-	ck       bool
-	skey     store.Key
-	snap     []byte
-	captured []byte
-
-	ran bool // a kind-2 simulation ran (false only after a cancellation)
+	ran  bool  // a kind-2 simulation ran (false only after a cancellation)
 }
 
-// newSim prepares one simulation of cfg on insts for exec. With
-// checkpointing on, the warmup snapshot key and any known snapshot are
-// fetched here, so callers must be sequential code.
-func (ds *Dataset) newSim(id PhaseID, cfg arch.Config, insts []trace.Inst, opts cpu.Options) batchElem {
-	e := batchElem{cfg: cfg}
-	if key, ok := ds.ckptKey(id, cfg, insts, opts); ok {
-		e.ck, e.skey, e.snap = true, key, ds.ckptFetch(key)
-	}
-	return e
-}
-
-// exec runs the elem's simulation on insts, restoring or capturing its
-// warmup snapshot when checkpointing applies. Pure — it writes only the
+// exec runs the elem's simulation on insts. Pure — it writes only the
 // elem, so the fan-out calls it from worker goroutines.
 func (e *batchElem) exec(insts []trace.Inst, opts cpu.Options) {
 	e.ran = true
-	if e.ck {
-		e.res, e.captured, e.err = ckptExec(e.cfg, insts, opts, e.snap)
-		return
-	}
 	e.res, e.err = cpu.RunOnce(e.cfg, insts, opts)
 }
 
@@ -558,14 +516,6 @@ func (ds *Dataset) runBatch(ctx context.Context, id PhaseID, cfgs []arch.Config)
 				continue
 			}
 		}
-		// Snapshot prefetch happens here, sequentially: within a batch
-		// every kind-2 config is distinct and the key pins the full
-		// config, so batch "groups" by warmup key are singletons — each
-		// elem is its own leader, warming once and committing below. If
-		// the key projection is ever narrowed (see store.SnapshotKey),
-		// later elems of a group restore what earlier elems committed in
-		// the preceding batch, never mid-batch.
-		elems[i] = ds.newSim(id, cfg, insts, opts)
 		elems[i].kind = 2
 		miss = append(miss, i)
 	}
@@ -588,9 +538,6 @@ func (ds *Dataset) runBatch(ctx context.Context, id PhaseID, cfgs []arch.Config)
 			}
 			if e.err != nil {
 				return e.err
-			}
-			if err := ds.ckptCommit(e.skey, e.captured); err != nil {
-				return err
 			}
 			obsSims.Inc()
 			ds.countExact()
@@ -668,15 +615,10 @@ func (ds *Dataset) simulate(id PhaseID, cfg arch.Config, opts cpu.Options, inSam
 			return res, nil
 		}
 	}
-	e := ds.newSim(id, cfg, insts, opts)
-	e.exec(insts, opts)
-	if e.err != nil {
-		return nil, e.err
-	}
-	if err := ds.ckptCommit(e.skey, e.captured); err != nil {
+	res, err := cpu.RunOnce(cfg, insts, opts)
+	if err != nil {
 		return nil, err
 	}
-	res := e.res
 	obsSims.Inc()
 	if inSample && !opts.Collect {
 		ds.countExact()

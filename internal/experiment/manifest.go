@@ -35,7 +35,6 @@ func FillBuildManifest(m *obs.Manifest, ds *Dataset) {
 	m.SetDet("sharedConfigs", len(ds.SharedConfigs))
 	m.SetDet("simCount", ds.SimCount())
 	m.SetDet("surrogate", ds.sur != nil)
-	m.SetDet("warmupCheckpoints", ds.ckpt != nil)
 	if sum := ds.SurrogateSummary(); sum != nil {
 		m.SetDet("surrogate.pruned", sum.Pruned)
 		m.SetDet("surrogate.audited", sum.Audited)
@@ -50,10 +49,8 @@ func FillBuildManifest(m *obs.Manifest, ds *Dataset) {
 	m.SetTiming("memoHits", float64(hits))
 	m.SetTiming("simulationsRun", float64(sims))
 	m.SetTiming("searchSims", float64(SearchSimCount()))
-	// Timing, not deterministic, even though they are integers: how many
-	// warmup instructions actually executed (vs restored from a
-	// checkpoint) depends on snapshot-store warm state, exactly like the
-	// store hit counters above.
+	// Timing, not deterministic, even though it is an integer: a warm
+	// store replays results without simulating their warmups, exactly
+	// like the store hit counters above.
 	m.SetTiming("warmupInsts", float64(cpu.WarmupInstructions()))
-	m.SetTiming("warmupRestores", float64(cpu.WarmupRestores()))
 }

@@ -158,3 +158,27 @@ func TestStoreKeepsPredictionsOutOfSample(t *testing.T) {
 		t.Error("SampleResult did not promote a store-served config into the sample space")
 	}
 }
+
+// BenchmarkDatasetBuildCold measures the full test-scale dataset build
+// against a fresh (cold) store: every simulation runs and every result
+// is persisted, so it prices the build layer end to end.
+func BenchmarkDatasetBuildCold(b *testing.B) {
+	ctx := context.Background()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		st, err := store.Open(b.TempDir())
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if _, err := Build(ctx, TestScale(), WithStore(st)); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if err := st.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+}

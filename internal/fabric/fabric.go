@@ -206,8 +206,8 @@ type ShardResult struct {
 // window (experiment.WithSearchLimit). With the prefix seeded into the
 // store (AdoptSegment), the shard pays fresh simulation only for its own
 // window; cold, it recomputes the prefix — correct either way, the seed
-// is purely an optimisation. Extra build options (surrogate, warmup
-// checkpoints) pass through and keep their own contracts.
+// is purely an optimisation. Extra build options (the surrogate) pass
+// through and keep their own contracts.
 func RunShard(ctx context.Context, sc experiment.Scale, spec ShardSpec, dir string, opts ...experiment.Option) (ShardResult, error) {
 	res := ShardResult{Spec: spec, Dir: dir}
 	sc = sc.Resolved()

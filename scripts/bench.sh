@@ -47,14 +47,12 @@ echo "== go test -bench, soft-max training (benchtime $benchtime) =="
 go test -run XXX -bench 'BenchmarkTrainFold' \
     -benchmem -benchtime "$benchtime" ./internal/softmax | tee -a "$raw"
 
-echo "== go test -bench, dataset build cold vs warmup-checkpointed (6 builds each) =="
-# End-to-end test-scale dataset builds against a store: cold re-executes
-# every warmup, warm-ckpt restores them from the snapshot sidecar (README
-# "Warmup checkpoints"). The recorded baseline carries the pre-checkpoint
-# build cost under both names, so the warm-ckpt row's speedup is the
-# amortisation win. Both builds fan their simulations out on every core,
-# so these rows compare only between runs at the same GOMAXPROCS.
-go test -run XXX -bench 'BenchmarkDatasetBuild' \
+echo "== go test -bench, dataset build on a fresh store (6 builds) =="
+# End-to-end test-scale dataset build against a cold store: every
+# simulation runs and every result is appended to the store. The build
+# fans its simulations out on every core, so this row compares only
+# between runs at the same GOMAXPROCS.
+go test -run XXX -bench 'BenchmarkDatasetBuildCold' \
     -benchtime 6x ./internal/experiment | tee -a "$raw"
 
 echo
