@@ -6,7 +6,6 @@
 //
 //	report [-scale test|default] [-programs mcf,swim,...] [-phases N]
 //	       [-interval N] [-uniform N] [-skip-slow] [-cache-dir DIR]
-//	       [-surrogate] [-surrogate-audit FRAC]
 //	       [-fabric N] [-fabric-worker SPEC]
 //	       [-trace out.json] [-manifest out.json] [-span-summary]
 //	       [-log-json] [-log-level info]
@@ -53,7 +52,6 @@ import (
 	"repro/internal/power"
 	"repro/internal/render"
 	"repro/internal/store"
-	"repro/internal/surrogate"
 )
 
 func main() {
@@ -64,8 +62,6 @@ func main() {
 		interval   = flag.Int("interval", 0, "instructions per phase interval (default: preset)")
 		uniform    = flag.Int("uniform", 0, "shared uniform samples (default: preset)")
 		skipSlow   = flag.Bool("skip-slow", false, "skip Figure 1 and Table IV (the slowest experiments)")
-		useSur     = flag.Bool("surrogate", false, "prune the design-space search with the learned surrogate (see README \"Surrogate search\")")
-		surAudit   = flag.Float64("surrogate-audit", 0, "override the surrogate audit fraction (0 keeps the default)")
 		cacheDir   = flag.String("cache-dir", "", "persistent result-store directory (reused across runs; empty disables)")
 		fabricN    = flag.Int("fabric", 0, "shard the dataset build into N phase windows run against private stores under -cache-dir/fabric, merge, then build warm (requires -cache-dir; see README \"Distributed builds\")")
 		fabricSpec = flag.String("fabric-worker", "", "run one fabric shard spec (from report -fabric logs or fabric.Partition) against the private -cache-dir and exit")
@@ -168,18 +164,6 @@ func main() {
 		sc.UniformSamples = *uniform
 	}
 
-	// extraOpts are the build options shared by every build this process
-	// runs — fabric shards and the final pipeline alike. The store is not
-	// among them: each build attaches its own.
-	var extraOpts []experiment.Option
-	if *useSur {
-		scfg := surrogate.DefaultConfig()
-		if *surAudit > 0 {
-			scfg.AuditFrac = *surAudit
-		}
-		extraOpts = append(extraOpts, experiment.WithSurrogate(scfg))
-	}
-
 	// Live progress/ETA for the long stages, annotated with the memo and
 	// store hit rates so a stalled-looking run is distinguishable from a
 	// cache-warm one. st is nil until the final store opens; fabric shard
@@ -215,7 +199,7 @@ func main() {
 			die(err)
 		}
 		start := time.Now()
-		res, err := fabric.RunShard(context.Background(), sc, spec, *cacheDir, extraOpts...)
+		res, err := fabric.RunShard(context.Background(), sc, spec, *cacheDir)
 		if err != nil {
 			die(err)
 		}
@@ -236,7 +220,7 @@ func main() {
 			die(fmt.Errorf("-fabric needs -cache-dir: the shard stores live under it and the merged registry becomes the build's warm store"))
 		}
 		logger.Info("fabric build", "shards", *fabricN, "dir", *cacheDir)
-		dres, err := fabric.Drive(context.Background(), sc, *fabricN, *cacheDir, extraOpts...)
+		dres, err := fabric.Drive(context.Background(), sc, *fabricN, *cacheDir)
 		if err != nil {
 			die(err)
 		}
@@ -259,28 +243,17 @@ func main() {
 		logger.Info("result store open", "dir", *cacheDir, "records", st.Len())
 	}
 
-	opts := append(append([]experiment.Option{}, extraOpts...), experiment.WithStore(st))
-
 	start := time.Now()
 	logger.Info("building dataset",
 		"programs", len(sc.Programs), "phasesPerProgram", sc.PhasesPerProgram,
-		"intervalInsts", sc.IntervalInsts, "sharedConfigs", sc.UniformSamples,
-		"surrogate", *useSur)
-	ds, err := experiment.Build(context.Background(), sc, opts...)
+		"intervalInsts", sc.IntervalInsts, "sharedConfigs", sc.UniformSamples)
+	ds, err := experiment.Build(context.Background(), sc, experiment.WithStore(st))
 	if err != nil {
 		die(err)
 	}
 	logger.Info("dataset built", "simulations", ds.SimCount(),
 		"searchSims", experiment.SearchSimCount(),
 		"elapsed", time.Since(start).Round(time.Second).String())
-	if sum := ds.SurrogateSummary(); sum != nil {
-		logger.Info("surrogate summary",
-			"exact", sum.Exact, "pruned", sum.Pruned, "audited", sum.Audited,
-			"observations", sum.Observations, "fits", sum.Fits,
-			"rankCorr", fmt.Sprintf("%.3f", sum.RankCorr),
-			"regret", fmt.Sprintf("%.3f", sum.Regret),
-			"calibMAE", fmt.Sprintf("%.3f", sum.CalibMAE))
-	}
 
 	fmt.Println(ds.TableIII().Render())
 
@@ -417,8 +390,6 @@ func main() {
 		m := obs.NewManifest("report")
 		m.SetDet("flags.scale", *scaleName)
 		m.SetDet("flags.skipSlow", *skipSlow)
-		m.SetDet("flags.surrogate", *useSur)
-		m.SetDet("flags.surrogateAudit", *surAudit)
 		m.SetDet("flags.fabric", *fabricN)
 		experiment.FillBuildManifest(m, ds)
 		tr.FillManifest(m)

@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"math"
 
 	"repro/internal/arch"
 	"repro/internal/counters"
@@ -99,7 +100,9 @@ func LoadPredictor(r io.Reader) (*Predictor, error) {
 // input dimension equal to the set's feature dimension and its class count
 // equal to the parameter's domain size. A loaded predictor that fails this
 // was trained against a different feature encoding or parameter space and
-// would mis-dimension every prediction.
+// would mis-dimension every prediction. Every weight must also be finite:
+// a NaN or infinite weight makes the soft-max scores NaN, and the argmax
+// then silently picks class 0.
 func (p *Predictor) Validate() error {
 	if p.Set != counters.Basic && p.Set != counters.Advanced {
 		return fmt.Errorf("core: predictor has unknown counter set %d", int(p.Set))
@@ -115,6 +118,11 @@ func (p *Predictor) Validate() error {
 		}
 		if k := arch.DomainSize(param); m.K != k {
 			return fmt.Errorf("core: %s model has %d classes but the parameter domain has %d values", param, m.K, k)
+		}
+		for i, w := range m.W {
+			if math.IsNaN(w) || math.IsInf(w, 0) {
+				return fmt.Errorf("core: %s model weight %d is %v, want a finite value", param, i, w)
+			}
 		}
 	}
 	return nil

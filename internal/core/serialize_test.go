@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/gob"
+	"math"
 	"strings"
 	"testing"
 
@@ -70,6 +71,30 @@ func TestValidateCatchesShapeMismatches(t *testing.T) {
 	if err := missing.Validate(); err == nil {
 		t.Error("missing models not caught")
 	}
+
+	// A non-finite weight has the right shape but poisons every score:
+	// Validate and LoadPredictor (through Validate) must refuse it and
+	// name the parameter.
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		w := &pred.Models[arch.IQSize].W[3]
+		orig := *w
+		*w = bad
+		err := pred.Validate()
+		if err == nil || !strings.Contains(err.Error(), arch.IQSize.String()) {
+			t.Errorf("weight %v: Validate err = %v, want a refusal naming %s", bad, err, arch.IQSize)
+		}
+		var buf bytes.Buffer
+		if err := pred.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadPredictor(&buf); err == nil {
+			t.Errorf("weight %v: LoadPredictor accepted a non-finite weight", bad)
+		}
+		*w = orig
+	}
+	if err := pred.Validate(); err != nil {
+		t.Fatalf("restored predictor invalid: %v", err)
+	}
 }
 
 func TestLoadPredictorRejectsForeignShape(t *testing.T) {
@@ -91,4 +116,44 @@ func TestLoadPredictorRejectsForeignShape(t *testing.T) {
 	if _, err := LoadPredictor(&buf); err == nil {
 		t.Fatal("foreign-shape predictor accepted")
 	}
+}
+
+// FuzzLoadPredictor feeds arbitrary bytes to the predictor decoder. It must
+// never panic, and whatever it accepts must be a valid predictor that
+// survives a Save/LoadPredictor/Save round trip byte for byte.
+func FuzzLoadPredictor(f *testing.F) {
+	var buf bytes.Buffer
+	if err := trainToyPredictor(f, counters.Basic).Save(&buf); err != nil {
+		f.Fatal(err)
+	}
+	saved := buf.Bytes()
+	f.Add(saved)
+	f.Add(saved[:3]) // truncated header
+	wrongVersion := bytes.Clone(saved)
+	wrongVersion[len(wireMagic)] = wireVersion + 1
+	f.Add(wrongVersion)
+
+	f.Fuzz(func(t *testing.T, b []byte) {
+		p, err := LoadPredictor(bytes.NewReader(b))
+		if err != nil {
+			return
+		}
+		if err := p.Validate(); err != nil {
+			t.Fatalf("LoadPredictor returned an invalid predictor: %v", err)
+		}
+		var first, second bytes.Buffer
+		if err := p.Save(&first); err != nil {
+			t.Fatalf("saving a loaded predictor: %v", err)
+		}
+		q, err := LoadPredictor(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("reloading a saved predictor: %v", err)
+		}
+		if err := q.Save(&second); err != nil {
+			t.Fatalf("saving a reloaded predictor: %v", err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatal("Save/LoadPredictor/Save round trip changed the bytes")
+		}
+	})
 }

@@ -15,8 +15,7 @@ import (
 // content: the phase list, every phase's sample space with the simulated
 // results attached to it, the per-phase bests, the shared candidate pool
 // and the best-static pick. Replays of the same configuration — cold or
-// warm store, any GOMAXPROCS, surrogate flag held fixed — must
-// reproduce it bit for bit; run manifests record it in their
+// warm store, any GOMAXPROCS — must reproduce it bit for bit; run manifests record it in their
 // deterministic section, where cmd/obsdiff compares it exactly.
 //
 // Only result fields that are pure simulator output join the hash

@@ -27,7 +27,6 @@ import (
 	"repro/internal/par"
 	"repro/internal/stats"
 	"repro/internal/store"
-	"repro/internal/surrogate"
 	"repro/internal/trace"
 )
 
@@ -88,32 +87,6 @@ func DefaultScale() Scale {
 		SampledSets:      32,
 		Seed:             2010,
 	}
-}
-
-// SearchBudget is the per-phase exact-simulation budget a Scale implies
-// for the three-stage search: how many candidate evaluations stage 1
-// (shared uniform sample), stage 2 (local neighbours) and stage 3
-// (one-at-a-time sweeps) request per phase. The surrogate's shortlist and
-// audit slices (surrogate.Config.ShortlistSize / AuditSize) carve their
-// budgets out of these counts.
-type SearchBudget struct {
-	Uniform int
-	Local   int
-	Sweep   int
-}
-
-// PerPhase is the total candidate evaluations per phase.
-func (b SearchBudget) PerPhase() int { return b.Uniform + b.Local + b.Sweep }
-
-// Budget returns the scale's per-phase search budget (after defaulting,
-// exactly as Build would see it).
-func (sc Scale) Budget() SearchBudget {
-	sc = sc.withDefaults()
-	b := SearchBudget{Uniform: sc.UniformSamples, Local: sc.LocalSamples}
-	for _, p := range sc.SweepParams {
-		b.Sweep += arch.DomainSize(p)
-	}
-	return b
 }
 
 func (sc Scale) withDefaults() Scale {
@@ -202,14 +175,9 @@ type Dataset struct {
 
 	trained map[counters.Set]*core.Predictor // TrainAll memo
 
-	// sur, when non-nil, is the surrogate-guided pruning state (see
-	// WithSurrogate). nil keeps every code path byte-identical to the
-	// plain build.
-	sur *surrogateState
-
 	// inSearch marks the three-stage search window of Build; exact
 	// in-sample simulations inside it are the search budget the
-	// repro_sims_exact counter (and the surrogate's >=2x claim) measures.
+	// repro_sims_exact counter measures.
 	inSearch bool
 
 	// BestStatic is the shared configuration with the highest aggregate
@@ -223,7 +191,6 @@ type Option func(*buildOptions)
 
 type buildOptions struct {
 	store       *store.Store
-	surrogate   *surrogate.Config
 	searchLimit int
 }
 
@@ -255,19 +222,18 @@ func WithSearchLimit(n int) Option {
 // BuildDatasetStore trio it replaced is gone).
 //
 // Independent simulations — the stage-1 shared sample, each stage-3
-// sweep batch, the surrogate's exact batches and the profiling pass — fan
-// out on every core through par.Each. All side effects (memo inserts,
-// sample-space promotion, best updates, store appends, spans and
-// progress) are applied afterwards in the sequential order, so the
-// dataset, the store log and the span tree are byte-identical for any
-// GOMAXPROCS.
+// sweep batch and the profiling pass — fan out on every core through
+// par.Each. All side effects (memo inserts, sample-space promotion, best
+// updates, store appends, spans and progress) are applied afterwards in
+// the sequential order, so the dataset, the store log and the span tree
+// are byte-identical for any GOMAXPROCS.
 //
 // The pipeline checks ctx between phases and before each fanned-out
 // simulation (the granularity keeps a SIGINT during adaptd's first-boot
 // training prompt without threading ctx into the simulator's inner
 // loop); a cancelled build returns ctx.Err() wrapped with the stage it
 // was in. Behaviour beyond that is opted into per call — see WithStore
-// and WithSurrogate.
+// and WithSearchLimit.
 func Build(ctx context.Context, sc Scale, opts ...Option) (*Dataset, error) {
 	// The build's simulations recycle each other's memory; what is left
 	// idle at the end is only heap the stages after it would carry.
@@ -287,9 +253,6 @@ func Build(ctx context.Context, sc Scale, opts ...Option) (*Dataset, error) {
 		FeaturesBasic: map[PhaseID][]float64{},
 		ProfileRes:    map[PhaseID]*cpu.Result{},
 		store:         bo.store,
-	}
-	if bo.surrogate != nil {
-		ds.sur = newSurrogateState(*bo.surrogate, sc.Seed)
 	}
 
 	tr := obs.DefaultTracer()
@@ -437,9 +400,6 @@ type entry struct {
 
 // searchPhase runs the three-stage search for one phase.
 func (ds *Dataset) searchPhase(ctx context.Context, id PhaseID, rng *rand.Rand) error {
-	if ds.sur != nil {
-		return ds.searchPhaseSurrogate(ctx, id, rng)
-	}
 	// Stage 1: the shared uniform sample — a fixed batch, fanned out.
 	if err := ds.runBatch(ctx, id, ds.SharedConfigs); err != nil {
 		return err
@@ -634,6 +594,14 @@ func (ds *Dataset) simulate(id PhaseID, cfg arch.Config, opts cpu.Options, inSam
 	return res, nil
 }
 
+// countExact attributes one exact in-sample simulation to the search
+// budget (see obsSimsExact).
+func (ds *Dataset) countExact() {
+	if ds.inSearch {
+		obsSimsExact.Inc()
+	}
+}
+
 // memoize records one measurement-mode result in the in-memory table,
 // applying the sample-space side effects exactly as a fresh simulation
 // would — store hits must be indistinguishable from simulations here, or
@@ -688,10 +656,6 @@ func (ds *Dataset) SampleSpace(id PhaseID) []arch.Config {
 // across the benchmarks"; a time-weighted total would instead be dominated
 // by the slowest phases).
 func (ds *Dataset) computeBestStatic() {
-	if ds.sur != nil {
-		ds.computeBestStaticSurrogate()
-		return
-	}
 	bestScore := -1.0
 	for _, cfg := range ds.SharedConfigs {
 		var effs []float64

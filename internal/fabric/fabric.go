@@ -206,9 +206,8 @@ type ShardResult struct {
 // window (experiment.WithSearchLimit). With the prefix seeded into the
 // store (AdoptSegment), the shard pays fresh simulation only for its own
 // window; cold, it recomputes the prefix — correct either way, the seed
-// is purely an optimisation. Extra build options (the surrogate) pass
-// through and keep their own contracts.
-func RunShard(ctx context.Context, sc experiment.Scale, spec ShardSpec, dir string, opts ...experiment.Option) (ShardResult, error) {
+// is purely an optimisation.
+func RunShard(ctx context.Context, sc experiment.Scale, spec ShardSpec, dir string) (ShardResult, error) {
 	res := ShardResult{Spec: spec, Dir: dir}
 	sc = sc.Resolved()
 	if err := spec.Validate(sc); err != nil {
@@ -223,9 +222,7 @@ func RunShard(ctx context.Context, sc experiment.Scale, spec ShardSpec, dir stri
 		return res, err
 	}
 	before := experiment.SearchSimCount()
-	buildOpts := append(append([]experiment.Option{}, opts...),
-		experiment.WithStore(st), experiment.WithSearchLimit(spec.Hi))
-	if _, err := experiment.Build(ctx, sc, buildOpts...); err != nil {
+	if _, err := experiment.Build(ctx, sc, experiment.WithStore(st), experiment.WithSearchLimit(spec.Hi)); err != nil {
 		st.Close()
 		return res, fmt.Errorf("fabric: shard %d/%d: %w", spec.Index, spec.Shards, err)
 	}
@@ -254,7 +251,7 @@ type DriveResult struct {
 // prefix replays warm. Afterwards store.Merge folds every shard store
 // (plus dstDir's prior records) into dstDir, ready for the warm final
 // build.
-func Drive(ctx context.Context, sc experiment.Scale, n int, dstDir string, opts ...experiment.Option) (*DriveResult, error) {
+func Drive(ctx context.Context, sc experiment.Scale, n int, dstDir string) (*DriveResult, error) {
 	sc = sc.Resolved()
 	specs := Partition(sc, n)
 	dr := &DriveResult{Specs: specs}
@@ -274,7 +271,7 @@ func Drive(ctx context.Context, sc experiment.Scale, n int, dstDir string, opts 
 				return dr, err
 			}
 		}
-		res, err := RunShard(ctx, sc, spec, dir, opts...)
+		res, err := RunShard(ctx, sc, spec, dir)
 		if err != nil {
 			return dr, err
 		}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -447,6 +448,37 @@ func TestReloadRejectsCorruptFile(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusInternalServerError {
 		t.Fatalf("corrupt reload -> %d, want 500", resp.StatusCode)
+	}
+	if s.Engine() != eng {
+		t.Error("engine swapped despite failed reload")
+	}
+}
+
+// TestReloadRejectsNonFiniteWeights writes a well-formed model file whose
+// weights include a NaN and an infinity: the decoder reads it fine, but
+// the reload must refuse it and keep serving the old engine.
+func TestReloadRejectsNonFiniteWeights(t *testing.T) {
+	pred := trainTestPredictor(t, counters.Basic)
+	eng, err := NewEngine(pred, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := trainTestPredictor(t, counters.Basic)
+	bad.Models[arch.Width].W[0] = math.NaN()
+	bad.Models[arch.L2CacheKB].W[1] = math.Inf(1)
+	if _, err := NewEngine(bad, false); err == nil {
+		t.Fatal("NewEngine accepted non-finite weights")
+	}
+	s := New(eng, WithModelPath(writeModel(t, bad)))
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	resp, err := http.Post(ts.URL+"/v1/reload", "application/json", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("non-finite reload -> %d, want 500", resp.StatusCode)
 	}
 	if s.Engine() != eng {
 		t.Error("engine swapped despite failed reload")

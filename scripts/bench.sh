@@ -56,33 +56,8 @@ go test -run XXX -bench 'BenchmarkDatasetBuildCold' \
     -benchtime 6x ./internal/experiment | tee -a "$raw"
 
 echo
-echo "== cmd/report -scale test -skip-slow wall clock (best of 3) =="
-# End-to-end pipeline wall clock, recorded alongside the microbenchmarks.
-# The baseline constant below is the best-of-3 interleaved measurement of
-# the pre-overhaul binary (commit c86856f) on the same otherwise-idle
-# machine as bench_baseline.txt.
-report_baseline_s=2.68
-go build -o /tmp/bench-report ./cmd/report
-report_s=""
-for _ in 1 2 3; do
-    t0=$(date +%s.%N)
-    /tmp/bench-report -scale test -skip-slow >/dev/null
-    t1=$(date +%s.%N)
-    dt=$(awk -v a="$t0" -v b="$t1" 'BEGIN{printf "%.2f", b-a}')
-    echo "  run: ${dt}s"
-    if [ -z "$report_s" ] || awk -v n="$dt" -v c="$report_s" 'BEGIN{exit !(n < c)}'; then
-        report_s="$dt"
-    fi
-done
-rm -f /tmp/bench-report
-echo "  best: ${report_s}s (pre-overhaul baseline: ${report_baseline_s}s)"
-
-echo
 echo "== vs recorded pre-overhaul baseline =="
 go run ./scripts/benchdiff scripts/bench_baseline.txt "$raw"
-go run ./scripts/benchdiff -json \
-    -extra "report_test_scale_s=$report_s" \
-    -extra "report_test_scale_baseline_s=$report_baseline_s" \
-    scripts/bench_baseline.txt "$raw" >"$out"
+go run ./scripts/benchdiff -json scripts/bench_baseline.txt "$raw" >"$out"
 echo
 echo "wrote $out"

@@ -119,37 +119,14 @@ type jsonDoc struct {
 	Benchmarks []jsonBench `json:"benchmarks"`
 	// GeomeanSpeedup covers the benchmarks present on both sides.
 	GeomeanSpeedup float64 `json:"geomean_speedup,omitempty"`
-	// Extra carries caller-supplied scalars (-extra key=value), e.g. the
-	// end-to-end report wall clock bench.sh measures outside `go test`.
-	Extra map[string]float64 `json:"extra,omitempty"`
-}
-
-// extraFlags collects repeated -extra key=value pairs.
-type extraFlags map[string]float64
-
-func (e extraFlags) String() string { return "" }
-
-func (e extraFlags) Set(s string) error {
-	k, v, ok := strings.Cut(s, "=")
-	if !ok {
-		return fmt.Errorf("want key=value, got %q", s)
-	}
-	f, err := strconv.ParseFloat(v, 64)
-	if err != nil {
-		return err
-	}
-	e[k] = f
-	return nil
 }
 
 func main() {
 	asJSON := flag.Bool("json", false, "emit the comparison as JSON instead of a table")
 	threshold := flag.Float64("threshold", 0,
 		"exit 1 if the geomean speedup regresses by more than this percent (0 disables; needs old.txt)")
-	extra := extraFlags{}
-	flag.Var(extra, "extra", "extra key=value scalar to embed in the JSON document (repeatable)")
 	flag.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: benchdiff [-json] [-threshold PCT] [-extra k=v]... [old.txt] new.txt")
+		fmt.Fprintln(os.Stderr, "usage: benchdiff [-json] [-threshold PCT] [old.txt] new.txt")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -182,9 +159,6 @@ func main() {
 
 	doc := buildDoc(oldB, newB, order)
 	doc.OldFile, doc.NewFile = oldPath, newPath
-	if len(extra) > 0 {
-		doc.Extra = extra
-	}
 
 	if *asJSON {
 		enc := json.NewEncoder(os.Stdout)

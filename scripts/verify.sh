@@ -62,6 +62,12 @@ echo "== go test -race internal/softmax internal/core internal/counters =="
 # detector.
 go test -race ./internal/softmax ./internal/core ./internal/counters
 
+echo "== fuzz core.LoadPredictor (10s) =="
+# The predictor decoder reads files adaptd and adaptsim load and /v1/reload
+# swaps in: it must never panic, and whatever it accepts must validate
+# (finite weights included) and round-trip through Save byte for byte.
+go test -run '^$' -fuzz '^FuzzLoadPredictor$' -fuzztime 10s ./internal/core
+
 echo "== go test -race internal/serve =="
 go test -race ./internal/serve
 
@@ -71,19 +77,14 @@ go test -race ./internal/obs
 echo "== go test -race internal/store =="
 go test -race ./internal/store
 
-echo "== go test -race internal/surrogate =="
-go test -race ./internal/surrogate
-
 echo "== report -trace smoke =="
 trace_out=$(mktemp /tmp/verify-trace.XXXXXX.json)
 cache_dir=$(mktemp -d /tmp/verify-store.XXXXXX)
 cold_out=$(mktemp /tmp/verify-cold.XXXXXX)
 warm_out=$(mktemp /tmp/verify-warm.XXXXXX)
 warm_err=$(mktemp /tmp/verify-warmerr.XXXXXX)
-sur_off_out=$(mktemp /tmp/verify-suroff.XXXXXX)
-sur_off_err=$(mktemp /tmp/verify-surofferr.XXXXXX)
-sur_on_out=$(mktemp /tmp/verify-suron.XXXXXX)
-sur_on_err=$(mktemp /tmp/verify-suronerr.XXXXXX)
+trace_stdout=$(mktemp /tmp/verify-tracestdout.XXXXXX)
+trace_stderr=$(mktemp /tmp/verify-tracestderr.XXXXXX)
 cold_man=$(mktemp /tmp/verify-coldman.XXXXXX.json)
 warm_man=$(mktemp /tmp/verify-warmman.XXXXXX.json)
 fab_dir=$(mktemp -d /tmp/verify-fabric.XXXXXX)
@@ -94,8 +95,8 @@ replay_out=$(mktemp /tmp/verify-replay.XXXXXX)
 replay_err=$(mktemp /tmp/verify-replayerr.XXXXXX)
 replay_man=$(mktemp /tmp/verify-replayman.XXXXXX.json)
 bad_dir=$(mktemp -d /tmp/verify-badstore.XXXXXX)
-trap 'rm -rf "$trace_out" "$cache_dir" "$cold_out" "$warm_out" "$warm_err" "$sur_off_out" "$sur_off_err" "$sur_on_out" "$sur_on_err" "$cold_man" "$warm_man" "$fab_dir" "$fab_out" "$fab_err" "$merged_dir" "$replay_out" "$replay_err" "$replay_man" "$bad_dir"' EXIT
-go run ./cmd/report -scale test -skip-slow -trace "$trace_out" >"$sur_off_out" 2>"$sur_off_err"
+trap 'rm -rf "$trace_out" "$cache_dir" "$cold_out" "$warm_out" "$warm_err" "$trace_stdout" "$trace_stderr" "$cold_man" "$warm_man" "$fab_dir" "$fab_out" "$fab_err" "$merged_dir" "$replay_out" "$replay_err" "$replay_man" "$bad_dir"' EXIT
+go run ./cmd/report -scale test -skip-slow -trace "$trace_out" >"$trace_stdout" 2>"$trace_stderr"
 go run ./scripts/checktrace "$trace_out"
 
 echo "== core-count identity smoke =="
@@ -108,7 +109,7 @@ procs1_out=$(mktemp /tmp/verify-procs1.XXXXXX)
 procs1_man=$(mktemp /tmp/verify-procs1man.XXXXXX.json)
 procsN_out=$(mktemp /tmp/verify-procsN.XXXXXX)
 procsN_man=$(mktemp /tmp/verify-procsNman.XXXXXX.json)
-trap 'rm -rf "$trace_out" "$cache_dir" "$cold_out" "$warm_out" "$warm_err" "$sur_off_out" "$sur_off_err" "$sur_on_out" "$sur_on_err" "$cold_man" "$warm_man" "$fab_dir" "$fab_out" "$fab_err" "$merged_dir" "$replay_out" "$replay_err" "$replay_man" "$bad_dir" "$procs1_out" "$procs1_man" "$procsN_out" "$procsN_man"' EXIT
+trap 'rm -rf "$trace_out" "$cache_dir" "$cold_out" "$warm_out" "$warm_err" "$trace_stdout" "$trace_stderr" "$cold_man" "$warm_man" "$fab_dir" "$fab_out" "$fab_err" "$merged_dir" "$replay_out" "$replay_err" "$replay_man" "$bad_dir" "$procs1_out" "$procs1_man" "$procsN_out" "$procsN_man"' EXIT
 GOMAXPROCS=1 go run ./cmd/report -scale test -skip-slow -manifest "$procs1_man" >"$procs1_out" 2>/dev/null
 go run ./cmd/report -scale test -skip-slow -manifest "$procsN_man" >"$procsN_out" 2>/dev/null
 if ! cmp -s "$procs1_out" "$procsN_out"; then
@@ -161,31 +162,22 @@ if ! awk -v r="$man_rate" 'BEGIN { exit !(r >= 0.90) }'; then
 fi
 echo "manifest smoke: deterministic sections match, warm storeHitRate $man_rate"
 
-echo "== surrogate search smoke =="
-# The surrogate is an opt-in accelerator: with the flag off the report must
-# stay byte-identical to the baseline run, and with it on the search must
-# spend at most half the exact simulations (README "Surrogate search").
-if ! cmp -s "$sur_off_out" "$cold_out"; then
-    echo "surrogate smoke: surrogate-off run differs from the baseline report" >&2
-    diff "$sur_off_out" "$cold_out" | head -20 >&2
+echo "== report -trace stdout identity =="
+# Tracing is observability only: the -trace run at the top of the smokes
+# must print stdout byte-identical to the plain cold run. Its search
+# simulation count is the sequential build's, which the fabric smoke
+# below must match.
+if ! cmp -s "$trace_stdout" "$cold_out"; then
+    echo "trace smoke: the -trace run's stdout differs from the plain run" >&2
+    diff "$trace_stdout" "$cold_out" | head -20 >&2
     exit 1
 fi
-go run ./cmd/report -scale test -skip-slow -surrogate >"$sur_on_out" 2>"$sur_on_err"
-off_sims=$(grep -o 'searchSims=[0-9]*' "$sur_off_err" | tail -1 | cut -d= -f2)
-on_sims=$(grep -o 'searchSims=[0-9]*' "$sur_on_err" | tail -1 | cut -d= -f2)
-if [ -z "$off_sims" ] || [ -z "$on_sims" ] || [ "$on_sims" -eq 0 ]; then
-    echo "surrogate smoke: missing searchSims in report logs (off='$off_sims' on='$on_sims')" >&2
+seq_sims=$(grep -o 'searchSims=[0-9]*' "$trace_stderr" | tail -1 | cut -d= -f2)
+if [ -z "$seq_sims" ] || [ "$seq_sims" -eq 0 ]; then
+    echo "trace smoke: missing or zero searchSims in the report log ('$seq_sims')" >&2
     exit 1
 fi
-if [ $((2 * on_sims)) -gt "$off_sims" ]; then
-    echo "surrogate smoke: search sims only dropped ${off_sims} -> ${on_sims} (< 2x)" >&2
-    exit 1
-fi
-if ! grep -q 'surrogate summary' "$sur_on_err"; then
-    echo "surrogate smoke: no surrogate summary line in the -surrogate run" >&2
-    exit 1
-fi
-echo "surrogate smoke: search sims $off_sims -> $on_sims"
+echo "trace smoke: stdout byte-identical, search sims $seq_sims"
 
 echo "== fabric sharded-build smoke =="
 # A 2-shard fabric build (shard, merge, warm final build) must reproduce
@@ -200,8 +192,8 @@ if ! cmp -s "$fab_out" "$cold_out"; then
     exit 1
 fi
 fab_sims=$(grep -o ' searchSims=[0-9]*' "$fab_err" | tail -1 | cut -d= -f2)
-if [ -z "$fab_sims" ] || [ "$fab_sims" -ne "$off_sims" ]; then
-    echo "fabric smoke: fabric run paid $fab_sims search sims, sequential paid $off_sims" >&2
+if [ -z "$fab_sims" ] || [ "$fab_sims" -ne "$seq_sims" ]; then
+    echo "fabric smoke: fabric run paid $fab_sims search sims, sequential paid $seq_sims" >&2
     exit 1
 fi
 # Merge the driver's registry and every shard's private store into one
@@ -281,7 +273,7 @@ echo "== adaptd batch loadgen smoke =="
 # clean report plus a populated batch-size histogram in the metrics dump.
 model_dir=$(mktemp -d /tmp/verify-adaptd.XXXXXX)
 loadgen_out=$(mktemp /tmp/verify-loadgen.XXXXXX)
-trap 'rm -rf "$trace_out" "$cache_dir" "$cold_out" "$warm_out" "$warm_err" "$sur_off_out" "$sur_off_err" "$sur_on_out" "$sur_on_err" "$cold_man" "$warm_man" "$fab_dir" "$fab_out" "$fab_err" "$merged_dir" "$replay_out" "$replay_err" "$replay_man" "$bad_dir" "$procs1_out" "$procs1_man" "$procsN_out" "$procsN_man" "$model_dir" "$loadgen_out"' EXIT
+trap 'rm -rf "$trace_out" "$cache_dir" "$cold_out" "$warm_out" "$warm_err" "$trace_stdout" "$trace_stderr" "$cold_man" "$warm_man" "$fab_dir" "$fab_out" "$fab_err" "$merged_dir" "$replay_out" "$replay_err" "$replay_man" "$bad_dir" "$procs1_out" "$procs1_man" "$procsN_out" "$procsN_man" "$model_dir" "$loadgen_out"' EXIT
 go run ./cmd/adaptd -model "$model_dir/adaptd.model" -counter-set basic \
     -train-scale test -cache-dir "$cache_dir" \
     -loadgen -loadgen-requests 512 -loadgen-batch 64 >"$loadgen_out" 2>/dev/null
@@ -325,7 +317,7 @@ echo "== adaptd open-loop admission/shadow smoke =="
 # report windowed latency quantiles, and the self-shadow must agree with
 # the active model exactly.
 open_out=$(mktemp /tmp/verify-openloop.XXXXXX)
-trap 'rm -rf "$trace_out" "$cache_dir" "$cold_out" "$warm_out" "$warm_err" "$sur_off_out" "$sur_off_err" "$sur_on_out" "$sur_on_err" "$cold_man" "$warm_man" "$fab_dir" "$fab_out" "$fab_err" "$merged_dir" "$replay_out" "$replay_err" "$replay_man" "$bad_dir" "$procs1_out" "$procs1_man" "$procsN_out" "$procsN_man" "$model_dir" "$loadgen_out" "$open_out"' EXIT
+trap 'rm -rf "$trace_out" "$cache_dir" "$cold_out" "$warm_out" "$warm_err" "$trace_stdout" "$trace_stderr" "$cold_man" "$warm_man" "$fab_dir" "$fab_out" "$fab_err" "$merged_dir" "$replay_out" "$replay_err" "$replay_man" "$bad_dir" "$procs1_out" "$procs1_man" "$procsN_out" "$procsN_man" "$model_dir" "$loadgen_out" "$open_out"' EXIT
 go run ./cmd/adaptd -model "$model_dir/adaptd.model" -counter-set basic \
     -shadow "$model_dir/adaptd.model" \
     -admission -admission-rate background=20:5 \
